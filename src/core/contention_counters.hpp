@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/memory_report.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -58,6 +59,9 @@ class ContentionCounters {
     return static_cast<std::int32_t>(values_.size());
   }
   [[nodiscard]] std::int32_t saturation() const { return saturation_; }
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return vector_bytes(values_) + vector_bytes(overflow_);
+  }
 
   void reset() {
     std::fill(values_.begin(), values_.end(), std::int16_t{0});

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "util/memory_report.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -53,6 +54,9 @@ class EctnSnapshot {
         static_cast<std::int16_t>(value);
   }
   [[nodiscard]] std::int32_t channels_per_group() const { return channels_; }
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return vector_bytes(values_);
+  }
 
  private:
   std::int32_t channels_ = 0;
@@ -111,6 +115,11 @@ class EctnOverheadMonitor {
   void on_update(RouterId router, const std::int16_t* values);
 
   [[nodiscard]] EctnOverheadReport report() const;
+
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return vector_bytes(last_period_) + vector_bytes(last_full_) +
+           vector_bytes(updates_seen_);
+  }
 
  private:
   std::int32_t counters_per_router_ = 0;

@@ -1,19 +1,116 @@
-// Structure-of-arrays packet storage with a free list.
+// Structure-of-arrays packet storage plus the id ranges that hand ids out.
 //
 // A packet is an index into parallel arrays — the simulator hot loops touch
 // only the field they need (e.g. the routing pass reads `target_router` and
-// `flags` without dragging src/birth cache lines along). Freed indices are
-// recycled; the arrays only grow while the in-flight population is still
-// climbing toward steady state, and every growth bumps `grow_events` so the
-// zero-allocation-after-warmup property is testable.
+// `flags` without dragging src/birth cache lines along). The arrays are
+// sized once, at construction, to the engine's structural bound (every live
+// packet sits in a queue slot or on a link ring, so more can never be live)
+// and never reallocate, so sharded workers may index them concurrently.
+// Each array is its own anonymous mapping (LazyArray), which the kernel
+// commits page by page on first touch: a page becomes resident only when
+// an id on it is first handed out. (Heap storage would not guarantee that:
+// malloc may hand back recycled, already-resident blocks.) reset_packet()
+// writes every field before anything reads it.
+//
+// Ids come from IdRanges, disjoint [lo, hi) slices of the id space: one per
+// engine shard, the serial engine's spanning everything. A range pops its
+// LIFO free list first and otherwise bumps its high-water pointer, so a
+// fresh range hands out lo, lo + 1, ... and the latest released id is the
+// next one reused.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <sys/mman.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <new>
+#include <utility>
+
+#include "util/memory_report.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
+
+/// Fixed-size array of trivial T in a private anonymous mapping: untouched
+/// pages cost address space only, and the whole mapping returns to the
+/// system on destruction.
+template <class T>
+class LazyArray {
+ public:
+  LazyArray() = default;
+  explicit LazyArray(std::size_t n) : bytes_(n * sizeof(T)) {
+    if (bytes_ == 0) return;
+    // NORESERVE: only touched pages count against the commit limit.
+    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<T*>(p);
+  }
+  ~LazyArray() {
+    if (data_ != nullptr) munmap(data_, bytes_);
+  }
+  LazyArray(LazyArray&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        bytes_(std::exchange(other.bytes_, 0)) {}
+  LazyArray& operator=(LazyArray&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(bytes_, other.bytes_);
+    return *this;
+  }
+
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+
+ private:
+  T* data_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
+class IdRange {
+ public:
+  IdRange() = default;
+  /// Ids [lo, hi); the free list's storage is reserved, not touched.
+  IdRange(std::int32_t lo, std::int32_t hi)
+      : lo_(lo),
+        hi_(hi),
+        next_(lo),
+        free_(static_cast<std::size_t>(hi - lo)) {}
+
+  /// Next id, or kInvalidPacket when every id of the range is live.
+  std::int32_t allocate() {
+    if (n_free_ > 0) return free_[static_cast<std::size_t>(--n_free_)];
+    if (next_ == hi_) return kInvalidPacket;
+    return next_++;
+  }
+  /// Returns an id this range handed out.
+  void release(std::int32_t id) {
+    free_[static_cast<std::size_t>(n_free_++)] = id;
+  }
+
+  [[nodiscard]] bool owns(std::int32_t id) const {
+    return id >= lo_ && id < hi_;
+  }
+  [[nodiscard]] std::int32_t size() const { return hi_ - lo_; }
+  /// Distinct ids handed out so far (the range's high-water mark).
+  [[nodiscard]] std::int32_t high_water() const { return next_ - lo_; }
+
+  /// Free-list storage: reserved for the whole range, committed at most up
+  /// to the high-water mark (the list never holds more ids than were
+  /// handed out).
+  [[nodiscard]] std::size_t free_list_bytes() const {
+    return static_cast<std::size_t>(high_water()) * sizeof(std::int32_t);
+  }
+  [[nodiscard]] std::size_t free_list_reserved() const {
+    return static_cast<std::size_t>(size()) * sizeof(std::int32_t);
+  }
+
+ private:
+  std::int32_t lo_ = 0;
+  std::int32_t hi_ = 0;
+  std::int32_t next_ = 0;
+  std::int32_t n_free_ = 0;
+  LazyArray<std::int32_t> free_;
+};
 
 class PacketPool {
  public:
@@ -25,82 +122,65 @@ class PacketPool {
   static constexpr std::uint8_t kPhase0 = 16;       // heading to misroute gateway
   static constexpr std::uint8_t kDetoured = 32;     // local detour in this group
 
-  std::int32_t allocate() {
-    if (!free_.empty()) {
-      const std::int32_t id = free_.back();
-      free_.pop_back();
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(src.size());
-    if (src.size() == src.capacity()) ++grow_events;  // heap growth
-    src.push_back(0);
-    dst.push_back(0);
-    birth.push_back(0);
-    target_router.push_back(-1);
-    via_port.push_back(-1);
-    g_hops.push_back(0);
-    hops.push_back(0);
-    flags.push_back(0);
-    return id;
+  PacketPool() = default;
+  explicit PacketPool(std::int32_t bound)
+      : bound_(bound),
+        src(slots()),
+        dst(slots()),
+        birth(slots()),
+        target_router(slots()),
+        via_port(slots()),
+        g_hops(slots()),
+        hops(slots()),
+        flags(slots()) {}
+
+  /// Writes every field of a freshly allocated packet.
+  void reset_packet(std::int32_t id, NodeId source, NodeId dest, Cycle now) {
+    const auto pi = static_cast<std::size_t>(id);
+    src[pi] = source;
+    dst[pi] = dest;
+    birth[pi] = now;
+    target_router[pi] = -1;
+    via_port[pi] = -1;
+    g_hops[pi] = 0;
+    hops[pi] = 0;
+    flags[pi] = 0;
   }
 
-  void release(std::int32_t id) { free_.push_back(id); }
+  /// Ids the arrays hold (the structural bound).
+  [[nodiscard]] std::int32_t bound() const { return bound_; }
 
-  void reset_packet(std::int32_t id) {
-    target_router[static_cast<std::size_t>(id)] = -1;
-    via_port[static_cast<std::size_t>(id)] = -1;
-    g_hops[static_cast<std::size_t>(id)] = 0;
-    hops[static_cast<std::size_t>(id)] = 0;
-    flags[static_cast<std::size_t>(id)] = 0;
+  static constexpr std::size_t kBytesPerPacket =
+      sizeof(NodeId) + sizeof(NodeId) + sizeof(Cycle) + sizeof(RouterId) +
+      sizeof(std::int16_t) + sizeof(std::int8_t) + sizeof(std::uint16_t) +
+      sizeof(std::uint8_t);
+
+  /// Slot storage: reserved for the bound, committed up to `high_water`
+  /// ids (the sum of the id ranges' high-water marks).
+  [[nodiscard]] MemoryReport memory_report(std::int64_t high_water) const {
+    MemoryReport report;
+    report.add("slots", static_cast<std::size_t>(high_water) * kBytesPerPacket,
+               static_cast<std::size_t>(bound_) * kBytesPerPacket);
+    return report;
   }
-
-  /// Size every SoA array to exactly `n` slots, bypassing the free list.
-  /// Sharded (threads > 1) runs use this: the arrays must never reallocate
-  /// while worker threads hold references into them, so each shard draws ids
-  /// from its own disjoint range (see Simulator::build_shards) and
-  /// allocate()/release() go unused.
-  void resize_slots(std::size_t n) {
-    src.resize(n, 0);
-    dst.resize(n, 0);
-    birth.resize(n, 0);
-    target_router.resize(n, -1);
-    via_port.resize(n, -1);
-    g_hops.resize(n, 0);
-    hops.resize(n, 0);
-    flags.resize(n, 0);
-  }
-
-  /// Preallocate capacity for `n` packets (and the free list) up front.
-  void reserve(std::size_t n) {
-    src.reserve(n);
-    dst.reserve(n);
-    birth.reserve(n);
-    target_router.reserve(n);
-    via_port.reserve(n);
-    g_hops.reserve(n);
-    hops.reserve(n);
-    flags.reserve(n);
-    free_.reserve(n);
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return src.size(); }
-  [[nodiscard]] std::size_t in_use() const { return src.size() - free_.size(); }
-
-  // SoA fields, indexed by packet id.
-  std::vector<NodeId> src;
-  std::vector<NodeId> dst;
-  std::vector<Cycle> birth;
-  std::vector<RouterId> target_router;  // phase-0 gateway target
-  std::vector<std::int16_t> via_port;   // global port to take at the gateway
-  std::vector<std::int8_t> g_hops;      // global hops taken so far (VC class)
-  std::vector<std::uint16_t> hops;      // total hops (fault livelock guard)
-  std::vector<std::uint8_t> flags;
-
-  /// Number of times the arrays grew (allocation events).
-  std::int64_t grow_events = 0;
 
  private:
-  std::vector<std::int32_t> free_;
+  [[nodiscard]] std::size_t slots() const {
+    return static_cast<std::size_t>(bound_);
+  }
+
+  std::int32_t bound_ = 0;
+
+ public:
+  // SoA fields, indexed by packet id.
+  LazyArray<NodeId> src;
+  LazyArray<NodeId> dst;
+  LazyArray<Cycle> birth;
+  LazyArray<RouterId> target_router;  // phase-0 gateway target
+  LazyArray<std::int16_t> via_port;   // global port at the gateway
+  LazyArray<std::int8_t> g_hops;      // global hops taken (VC class)
+  LazyArray<std::uint16_t> hops;      // total hops (livelock guard)
+  LazyArray<std::uint8_t> flags;
 };
 
 }  // namespace dfsim

@@ -5,7 +5,9 @@
 #include <cassert>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "engine/head_wait.hpp"
 #include "routing/factory.hpp"
@@ -35,6 +37,26 @@ Simulator::Simulator(const SimParams& params,
 
   if (params_.engine.threads < 1) {
     throw std::invalid_argument("engine.threads must be >= 1");
+  }
+  // Index widths, checked here because Release builds compile asserts out:
+  // the due-link heap key carries a link id in kLinkBits bits, and flat
+  // queue indices are int32.
+  const auto n_out = static_cast<std::int64_t>(topo_.routers()) * radix_;
+  if (n_out >= (std::int64_t{1} << kLinkBits)) {
+    throw std::invalid_argument(
+        "topology has " + std::to_string(n_out) +
+        " router ports; the engine's link ids hold at most 2^" +
+        std::to_string(kLinkBits) + " - 1");
+  }
+  if (n_out * vmax_ > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("topology has too many (port, VC) queues "
+                                "for int32 queue indices");
+  }
+  if (params_.trace.enabled &&
+      topo_.routers() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument(
+        "packet tracing records router ids as uint16; this topology has " +
+        std::to_string(topo_.routers()) + " routers");
   }
   // More shards than routers would leave some empty; clamp instead.
   n_shards_ = std::min(params_.engine.threads, topo_.routers());
@@ -83,11 +105,11 @@ Simulator::Simulator(const SimParams& params,
     telemetry_next_sample_ = sink_.sample_period() - 1;
   }
   if (params_.trace.enabled) {
-    // Sized to the pool's structural bound (set by build_layout's reserve):
-    // every live packet id indexes the tracer's slot map directly.
+    // Sized to the pool's structural bound: every live packet id indexes
+    // the tracer's slot map directly.
     trace_on_ = true;
     tracer_.configure(params_.trace, params_.seed,
-                      slab_.size() + ring_slab_.size());
+                      static_cast<std::size_t>(pool_.bound()));
   }
 
   ectn_bits_per_counter_ = bits_for_value(params_.routing.counter_saturation);
@@ -107,8 +129,60 @@ Simulator::~Simulator() {
   for (std::thread& t : workers_) t.join();
 }
 
+std::int32_t Simulator::queue_capacity(PortIndex ip, VcIndex vc) const {
+  if (ip >= fwd_) {
+    return vc < params_.router.vcs_injection
+               ? params_.router.injection_queue_packets
+               : 0;
+  }
+  if (topo_.port_class(ip) == PortClass::kLocalClass) {
+    return vc < params_.router.vcs_local
+               ? std::max(1, params_.router.buf_local_phits / psize_)
+               : 0;
+  }
+  return vc < params_.router.vcs_global
+             ? std::max(1, params_.router.buf_global_phits / psize_)
+             : 0;
+}
+
+std::int32_t Simulator::link_delay_of(PortIndex port) const {
+  const std::int32_t lat = topo_.port_class(port) == PortClass::kLocalClass
+                               ? params_.link.local_latency
+                               : params_.link.global_latency;
+  return params_.router.pipeline_cycles + lat + psize_;
+}
+
+std::int32_t Simulator::ring_capacity(PortIndex port) const {
+  // Sends on a link are spaced >= psize cycles apart and stay on it for
+  // link_delay cycles, so delay/psize + 2 slots is a strict capacity bound;
+  // degraded links hold packets up to max_extra_latency longer.
+  const std::int32_t extra = fault_on_ ? fault_.max_extra_latency() : 0;
+  return (link_delay_of(port) + extra) / psize_ + 2;
+}
+
 void Simulator::build_layout() {
   const std::int32_t routers = topo_.routers();
+
+  // Structural packet bound: every live packet sits in a queue slot or on a
+  // link ring. Capacities depend on the port and VC only, so the bound is
+  // routers x per-router slots. Checked before any table is allocated:
+  // packet ids and slab/ring offsets are int32.
+  std::int64_t slots_per_router = 0;
+  for (PortIndex ip = 0; ip < radix_; ++ip) {
+    for (VcIndex vc = 0; vc < vmax_; ++vc) {
+      slots_per_router += queue_capacity(ip, vc);
+    }
+  }
+  for (PortIndex port = 0; port < fwd_; ++port) {
+    slots_per_router += ring_capacity(port);
+  }
+  const std::int64_t bound = slots_per_router * routers;
+  if (bound > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument(
+        "buffers and links hold up to " + std::to_string(bound) +
+        " packets; packet ids are int32");
+  }
+
   const auto n_q = static_cast<std::size_t>(routers) *
                    static_cast<std::size_t>(radix_) *
                    static_cast<std::size_t>(vmax_);
@@ -122,28 +196,15 @@ void Simulator::build_layout() {
   q_request_.assign(n_q, -1);
   q_wait_.assign(n_q, 0);
 
-  const std::int32_t cap_local =
-      std::max(1, params_.router.buf_local_phits / psize_);
-  const std::int32_t cap_global =
-      std::max(1, params_.router.buf_global_phits / psize_);
-  const std::int32_t cap_inj = params_.router.injection_queue_packets;
-
   std::int32_t offset = 0;
   for (RouterId r = 0; r < routers; ++r) {
     for (PortIndex ip = 0; ip < radix_; ++ip) {
       for (VcIndex vc = 0; vc < vmax_; ++vc) {
-        const std::int32_t q = queue_index(r, ip, vc);
-        std::int32_t cap = 0;
-        if (ip >= fwd_) {
-          if (vc < params_.router.vcs_injection) cap = cap_inj;
-        } else if (topo_.port_class(ip) == PortClass::kLocalClass) {
-          if (vc < params_.router.vcs_local) cap = cap_local;
-        } else {
-          if (vc < params_.router.vcs_global) cap = cap_global;
-        }
-        q_offset_[static_cast<std::size_t>(q)] = offset;
-        q_cap_[static_cast<std::size_t>(q)] = cap;
-        q_free_[static_cast<std::size_t>(q)] = cap;
+        const auto q = static_cast<std::size_t>(queue_index(r, ip, vc));
+        const std::int32_t cap = queue_capacity(ip, vc);
+        q_offset_[q] = offset;
+        q_cap_[q] = cap;
+        q_free_[q] = cap;
         offset += cap;
       }
     }
@@ -162,11 +223,7 @@ void Simulator::build_layout() {
       const RouterId peer = topo_.peer(r, port);
       const PortIndex peer_port = topo_.peer_port(r, port);
       down_queue_base_[idx] = queue_index(peer, peer_port, 0);
-      const std::int32_t lat =
-          topo_.port_class(port) == PortClass::kLocalClass
-              ? params_.link.local_latency
-              : params_.link.global_latency;
-      link_delay_[idx] = params_.router.pipeline_cycles + lat + psize_;
+      link_delay_[idx] = link_delay_of(port);
     }
   }
 
@@ -186,9 +243,7 @@ void Simulator::build_layout() {
                            static_cast<std::size_t>(queue_words_per_router_),
                        0);
 
-  // Per-link in-flight rings: sends on a link are spaced >= psize cycles
-  // apart and stay on it for link_delay cycles, so delay/psize + 2 slots is
-  // a strict capacity bound.
+  // Per-link in-flight rings.
   ring_offset_.assign(n_out, 0);
   ring_cap_.assign(n_out, 0);
   ring_head_.assign(n_out, 0);
@@ -197,9 +252,7 @@ void Simulator::build_layout() {
   for (RouterId r = 0; r < routers; ++r) {
     for (PortIndex port = 0; port < fwd_; ++port) {
       const std::size_t idx = static_cast<std::size_t>(flat_port(r, port));
-      // Degraded links hold packets up to max_extra_latency longer.
-      const std::int32_t extra = fault_on_ ? fault_.max_extra_latency() : 0;
-      const std::int32_t cap = (link_delay_[idx] + extra) / psize_ + 2;
+      const std::int32_t cap = ring_capacity(port);
       ring_offset_[idx] = ring_total;
       ring_cap_[idx] = cap;
       ring_total += cap;
@@ -207,12 +260,7 @@ void Simulator::build_layout() {
   }
   ring_slab_.assign(static_cast<std::size_t>(ring_total), LinkEvent{});
 
-  // Due-link heap keys must be able to carry every link id.
-  assert(n_out < (std::size_t{1} << kLinkBits));
-
-  // Preallocate the packet pool to its structural upper bound: every packet
-  // is either in some queue slot or on some link ring.
-  pool_.reserve(slab_.size() + static_cast<std::size_t>(ring_total));
+  pool_ = PacketPool(static_cast<std::int32_t>(bound));
 }
 
 void Simulator::build_shards() {
@@ -268,6 +316,7 @@ void Simulator::build_shards() {
     // Due-link heap: at most one entry per link, so this reserve is a hard
     // structural bound and the heap never allocates after construction.
     shards_[0].link_heap.reserve(n_out);
+    shards_[0].ids = IdRange(0, pool_.bound());
     return;
   }
 
@@ -302,14 +351,9 @@ void Simulator::build_shards() {
     }
   }
 
-  // Sharded packet-id ranges: the pool arrays are sized once to the
-  // structural bound (they must never reallocate under worker references),
-  // and each shard gets the ids backing its own queue slots and owned link
-  // rings — exactly enough that the shard can never hold more packets than
-  // ids. The free lists are filled descending so pop_back hands out
-  // ascending ids, and each id returns to its range owner via kFreeId.
-  const std::size_t total = slab_.size() + ring_slab_.size();
-  pool_.resize_slots(total);
+  // Sharded packet-id ranges: each shard gets the ids backing its own queue
+  // slots and owned link rings, and each id returns to its range owner via
+  // kFreeId.
   std::vector<std::int64_t> share(static_cast<std::size_t>(n_shards_), 0);
   for (std::int32_t i = 0; i < n_shards_; ++i) {
     const Shard& sh = shards_[static_cast<std::size_t>(i)];
@@ -330,14 +374,12 @@ void Simulator::build_shards() {
         shard_id_base_[static_cast<std::size_t>(i)] +
         static_cast<std::int32_t>(share[static_cast<std::size_t>(i)]);
   }
-  assert(static_cast<std::size_t>(shard_id_base_.back()) == total);
+  assert(shard_id_base_.back() == pool_.bound());
 
   for (std::int32_t i = 0; i < n_shards_; ++i) {
     Shard& sh = shards_[static_cast<std::size_t>(i)];
-    const std::int32_t lo = shard_id_base_[static_cast<std::size_t>(i)];
-    const std::int32_t hi = shard_id_base_[static_cast<std::size_t>(i) + 1];
-    sh.free_ids.reserve(static_cast<std::size_t>(hi - lo));
-    for (std::int32_t id = hi - 1; id >= lo; --id) sh.free_ids.push_back(id);
+    sh.ids = IdRange(shard_id_base_[static_cast<std::size_t>(i)],
+                     shard_id_base_[static_cast<std::size_t>(i) + 1]);
     sh.link_heap.reserve(owned_links[static_cast<std::size_t>(i)]);
     sh.outbox.resize(static_cast<std::size_t>(n_shards_));
     for (auto& box : sh.outbox) box.reserve(64);
@@ -756,17 +798,16 @@ void Simulator::inject_traffic(Shard& sh) {
 
     const std::int32_t packet = allocate_packet(sh);
     if (packet < 0) {
-      // Sharded id range exhausted (never happens serial: the pool grows).
-      // Deterministic back-pressure, same accounting as a full queue.
+      // Id range exhausted. Only a shard can get here: it may hold ids
+      // that sit in other shards' queues, while the serial range covers
+      // every slot. Deterministic back-pressure, same accounting as a full
+      // queue.
       ++sh.metrics.refused;
       ++sh.totals.refused;
       continue;
     }
-    pool_.reset_packet(packet);
+    pool_.reset_packet(packet, inj.src, inj.dst, now_);
     const auto pi = static_cast<std::size_t>(packet);
-    pool_.src[pi] = inj.src;
-    pool_.dst[pi] = inj.dst;
-    pool_.birth[pi] = now_;
     if (telemetry_on_) sink_.count_injection(r);
     if (trace_on_) tracer_.on_inject(now_, packet, r, inj.dst);
     if (params_.traffic.inorder_fraction > 0.0 &&
@@ -1080,31 +1121,23 @@ void Simulator::push_msg(Shard& sh, std::int32_t dst,
 }
 
 std::int32_t Simulator::allocate_packet(Shard& sh) {
-  if (n_shards_ == 1) return pool_.allocate();
-  if (sh.free_ids.empty()) return -1;
-  const std::int32_t id = sh.free_ids.back();
-  sh.free_ids.pop_back();
-  ++sh.live;
+  const std::int32_t id = sh.ids.allocate();
+  if (id != kInvalidPacket) ++sh.live;
   return id;
 }
 
 void Simulator::release_packet(Shard& sh, std::int32_t packet) {
-  if (n_shards_ == 1) {
-    pool_.release(packet);
-    return;
-  }
   // `live` is a per-shard delta (allocations minus releases, wherever the
   // id came from), so the sum over shards counts in-network packets
   // exactly even while an id rides an inbox back to its range owner.
   --sh.live;
-  const auto it = std::upper_bound(shard_id_base_.begin(),
-                                   shard_id_base_.end(), packet);
-  const auto owner =
-      static_cast<std::int32_t>(it - shard_id_base_.begin()) - 1;
-  if (owner == sh.index) {
-    // dfsim-check: allow(CHK-ALLOC): reserved to the shard id-range size
-    sh.free_ids.push_back(packet);
+  if (sh.ids.owns(packet)) {
+    sh.ids.release(packet);
   } else {
+    const auto it = std::upper_bound(shard_id_base_.begin(),
+                                     shard_id_base_.end(), packet);
+    const auto owner =
+        static_cast<std::int32_t>(it - shard_id_base_.begin()) - 1;
     ShardMessage m;
     m.kind = ShardMessage::Kind::kFreeId;
     m.packet = packet;
@@ -1128,8 +1161,7 @@ void Simulator::merge_inboxes(Shard& sh) {
           ++q_free_[static_cast<std::size_t>(m.queue)];
           break;
         case ShardMessage::Kind::kFreeId:
-          // dfsim-check: allow(CHK-ALLOC): reserved to the shard id-range size
-          sh.free_ids.push_back(m.packet);
+          sh.ids.release(m.packet);
           break;
       }
     }
@@ -1379,7 +1411,6 @@ const Simulator::Totals& Simulator::lifetime_totals() const {
 }
 
 std::int64_t Simulator::packets_in_network() const {
-  if (n_shards_ == 1) return static_cast<std::int64_t>(pool_.in_use());
   std::int64_t live = 0;
   for (const Shard& sh : shards_) live += sh.live;
   return live;
@@ -1463,12 +1494,69 @@ void Simulator::enable_ectn_monitor(std::int32_t async_mult,
 }
 
 std::int64_t Simulator::allocation_events() const {
-  std::int64_t events = pool_.grow_events;
+  std::int64_t events = 0;
   for (const Shard& sh : shards_) {
     events += sh.log_growth + sh.msg_growth +
               sh.traffic->record_growth_events();
   }
   return events;
+}
+
+std::int64_t Simulator::pool_high_water() const {
+  std::int64_t ids = 0;
+  for (const Shard& sh : shards_) ids += sh.ids.high_water();
+  return ids;
+}
+
+MemoryReport Simulator::memory_report() const {
+  const auto bytes = [](const auto& v) { return vector_bytes(v); };
+  MemoryReport report;
+  report.merge("topology", topo_.memory_report());
+  report.add("engine.queues",
+             bytes(q_offset_) + bytes(q_cap_) + bytes(q_head_) +
+                 bytes(q_size_) + bytes(q_free_) + bytes(q_counted_) +
+                 bytes(q_request_) + bytes(q_wait_));
+  report.add("engine.queue_slab", slab_);
+  report.add("engine.outputs", bytes(out_busy_until_) +
+                                   bytes(down_queue_base_) + bytes(link_delay_));
+  report.add("engine.link_rings",
+             bytes(ring_slab_) + bytes(ring_offset_) + bytes(ring_cap_) +
+                 bytes(ring_head_) + bytes(ring_count_));
+  std::size_t allocator_bytes = bytes(allocators_);
+  for (const SeparableAllocator& a : allocators_) {
+    allocator_bytes += a.heap_bytes();
+  }
+  report.add("engine.allocators", allocator_bytes);
+  report.add("engine.active_sets", queue_active_);
+  report.add("engine.shard_tables",
+             bytes(shard_of_router_) + bytes(credit_owner_) +
+                 bytes(link_owner_) + bytes(shard_id_base_) +
+                 bytes(occ_snap_));
+  report.merge("pool", pool_.memory_report(pool_high_water()));
+  for (const Shard& sh : shards_) {
+    const std::string name = "shard" + std::to_string(sh.index);
+    report.add(name + ".link_heap", sh.link_heap);
+    std::size_t outbox_bytes = bytes(sh.outbox);
+    for (const auto& box : sh.outbox) outbox_bytes += bytes(box);
+    report.add(name + ".outboxes", outbox_bytes);
+    report.add(name + ".free_list", sh.ids.free_list_bytes(),
+               sh.ids.free_list_reserved());
+    report.add(name + ".scratch", bytes(sh.router_active) +
+                                      bytes(sh.request_batch.groups()) +
+                                      bytes(sh.request_batch.reqs()));
+    report.add(name + ".delivery_log", sh.deliveries);
+    report.add(name + ".traffic", sh.traffic->heap_bytes());
+  }
+  report.merge("routing", routing_->memory_report());
+  if (fault_on_) {
+    report.add("fault", fault_.heap_bytes() + health_.heap_bytes());
+  }
+  if (telemetry_on_) report.merge("telemetry.sink", sink_.memory_report());
+  if (trace_on_) report.merge("telemetry.tracer", tracer_.memory_report());
+  if (ectn_monitor_enabled_) {
+    report.add("telemetry.ectn_monitor", ectn_monitor_.heap_bytes());
+  }
+  return report;
 }
 
 bool Simulator::debug_check_active_state() const {
@@ -1557,16 +1645,9 @@ bool Simulator::debug_check_active_state() const {
       }
     }
   }
-  if (n_shards_ == 1) {
-    if (pool_.in_use() !=
-        static_cast<std::size_t>(queued_packets + inflight_packets)) {
-      return false;
-    }
-  } else {
-    if (packets_in_network() !=
-        queued_packets + inflight_packets + pending_sends) {
-      return false;
-    }
+  if (packets_in_network() !=
+      queued_packets + inflight_packets + pending_sends) {
+    return false;
   }
 
   // (4) Lifetime packet conservation, drops included.

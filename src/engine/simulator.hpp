@@ -29,9 +29,9 @@
 //    ports.
 //
 // After warmup the steady-state step performs zero heap allocations: packets
-// come from a pooled free list, queues and scratch are preallocated, and the
-// event calendar reuses its buckets. `allocation_events()` exposes every
-// growth event so tests can verify this.
+// come from id ranges over a pool sized at construction, queues and scratch
+// are preallocated, and the event calendar reuses its buckets.
+// `allocation_events()` exposes every growth event so tests can verify this.
 //
 // Active-set stepping: the per-cycle phases iterate only non-empty state.
 // Occupied queues are tracked as per-router bitmask words plus a router
@@ -255,14 +255,23 @@ class Simulator : private routing::EngineProbe {
     return profiler_;
   }
 
-  /// Growth/allocation events since construction (pool growth, calendar,
-  /// log, or outbox growth). Constant across steps == steady state
-  /// allocates nothing.
+  /// Growth/allocation events since construction (delivery log, outbox,
+  /// or trace-recording growth; every other table is sized at
+  /// construction). Constant across steps == steady state allocates
+  /// nothing.
   [[nodiscard]] std::int64_t allocation_events() const;
-  /// Packet-pool heap growths alone (0 == the reserve bound held).
-  [[nodiscard]] std::int64_t pool_grow_events() const {
-    return pool_.grow_events;
-  }
+  /// Packet ids the pool can hold: the structural bound (queue slots plus
+  /// link-ring slots).
+  [[nodiscard]] std::int32_t pool_bound() const { return pool_.bound(); }
+  /// Distinct packet ids handed out so far, summed over the id ranges;
+  /// only these ids' pool slots have been written.
+  [[nodiscard]] std::int64_t pool_high_water() const;
+
+  /// Bytes per subsystem: topology tables, per-queue and per-output
+  /// arrays, queue slab, link rings, allocators, packet pool (committed up
+  /// to its high-water mark), per-shard heaps/outboxes/free lists, the
+  /// routing mechanism, fault overlay and telemetry.
+  [[nodiscard]] MemoryReport memory_report() const;
 
   /// Debug cross-check of the active-set structures against a brute-force
   /// scan of the dense state: every queue-occupancy bit matches q_size, the
@@ -332,16 +341,24 @@ class Simulator : private routing::EngineProbe {
     std::vector<std::uint64_t> link_heap;
     std::vector<Delivery> deliveries;
     std::int64_t log_growth = 0;
-    // Sharded packet-id accounting: ids from [base[i], base[i+1]) are
-    // allocated here; `live` is this shard's net allocate-minus-release
-    // delta, so the sum over shards is the exact in-network population.
-    std::vector<std::int32_t> free_ids;
+    // Packet ids [base[i], base[i+1]) are allocated here (the serial
+    // engine's range spans the whole pool); `live` is this shard's net
+    // allocate-minus-release delta, so the sum over shards is the exact
+    // in-network population.
+    IdRange ids;
     std::int64_t live = 0;
     std::vector<std::vector<ShardMessage>> outbox;  // one per dest shard
     std::int64_t msg_growth = 0;
   };
 
   // --- construction helpers
+  /// Packets a (port, VC) queue holds; 0 for VCs its port class lacks.
+  [[nodiscard]] std::int32_t queue_capacity(PortIndex ip, VcIndex vc) const;
+  /// Cycles a packet spends on `port`'s link: pipeline + latency +
+  /// serialization.
+  [[nodiscard]] std::int32_t link_delay_of(PortIndex port) const;
+  /// In-flight ring slots for `port`'s link.
+  [[nodiscard]] std::int32_t ring_capacity(PortIndex port) const;
   void build_layout();
   void build_shards();
 
@@ -395,9 +412,9 @@ class Simulator : private routing::EngineProbe {
   /// remote-occupancy snapshot.
   void merge_inboxes(Shard& sh);
   void push_msg(Shard& sh, std::int32_t dst, const ShardMessage& msg);
-  /// Pool front-end: the serial engine uses the growable pool free list;
-  /// sharded engines draw from the shard's private id range (-1 when the
-  /// range is exhausted — the injection is then refused deterministically).
+  /// Pool front-end: draws from the shard's id range (-1 when the range is
+  /// exhausted — the injection is then refused deterministically); a
+  /// released id goes back to the range that owns it.
   [[nodiscard]] std::int32_t allocate_packet(Shard& sh);
   void release_packet(Shard& sh, std::int32_t packet);
   /// True when the coming cycle is a mechanism (or monitor) update cycle;
@@ -522,7 +539,8 @@ class Simulator : private routing::EngineProbe {
 
   // --- packets & per-link in-flight rings (fixed capacity: a link carries
   // at most delay/packet_size + 2 packets at once); a ring belongs to the
-  // downstream router's shard
+  // downstream router's shard. The pool is sized once (build_layout) to
+  // the structural bound; ids come from the shards' IdRanges.
   PacketPool pool_;
   std::vector<LinkEvent> ring_slab_;
   std::vector<std::int32_t> ring_offset_;  // per (router, out port)
@@ -541,7 +559,7 @@ class Simulator : private routing::EngineProbe {
   // Owner of each link's in-flight ring, per flat output port: the shard of
   // the downstream router.
   std::vector<std::int32_t> link_owner_;
-  // Packet-id range bounds per shard (n_shards + 1 entries).
+  // Packet-id range bounds per shard (n_shards + 1 entries; empty serial).
   std::vector<std::int32_t> shard_id_base_;
   // Cycle-start occupancy snapshot (phits) per flat forward port, refreshed
   // by each port's owner at the merge point; read by the mechanism's remote

@@ -19,6 +19,7 @@
 
 #include "sim/config.hpp"
 #include "topo/topology.hpp"
+#include "util/memory_report.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -79,6 +80,9 @@ class FaultModel {
   [[nodiscard]] std::int32_t dead_router_count() const {
     return dead_routers_;
   }
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return vector_bytes(kind_) + vector_bytes(extra_) + vector_bytes(faulty_);
+  }
 
  private:
   [[nodiscard]] std::size_t flat(RouterId r, PortIndex port) const {
@@ -133,6 +137,10 @@ class LinkHealthMap final : public LinkHealth {
                                            PortIndex port) const override {
     return extra_[static_cast<std::size_t>(r) * stride_ +
                   static_cast<std::size_t>(port)];
+  }
+
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return vector_bytes(up_) + vector_bytes(extra_);
   }
 
  private:

@@ -140,4 +140,11 @@ std::span<const AllocGrant> SeparableAllocator::allocate_iteration(
   return {cycle_grants_.data(), cycle_grants_.size()};
 }
 
+std::size_t SeparableAllocator::heap_bytes() const {
+  const auto bytes = [](const auto& v) { return vector_bytes(v); };
+  return bytes(in_rr_) + bytes(out_rr_) + bytes(in_busy_) + bytes(out_busy_) +
+         bytes(winners_) + bytes(out_has_candidate_) + bytes(cand_outs_) +
+         bytes(iter_grants_) + bytes(cycle_grants_);
+}
+
 }  // namespace dfsim

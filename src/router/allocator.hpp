@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "util/memory_report.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -109,6 +110,8 @@ class SeparableAllocator {
   [[nodiscard]] std::int32_t in_ports() const { return in_ports_; }
   [[nodiscard]] std::int32_t out_ports() const { return out_ports_; }
   [[nodiscard]] std::int32_t vcs() const { return vcs_; }
+  /// Heap bytes of the arbitration state and scratch.
+  [[nodiscard]] std::size_t heap_bytes() const;
 
   /// Bound the per-input round-robin counters wrap at: the least common
   /// multiple of 1..vcs, so `in_rr_[in] % n` is identical to an unbounded

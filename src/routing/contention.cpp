@@ -81,6 +81,12 @@ std::int64_t EctnMechanism::candidate_bias(RouterId r,
   return ectn_.value(topo_.ectn_domain(r), c.channel);
 }
 
+MemoryReport EctnMechanism::memory_report() const {
+  MemoryReport report = RoutingMechanism::memory_report();
+  report.add("ectn_snapshot", ectn_.heap_bytes());
+  return report;
+}
+
 bool EctnMechanism::update_due(Cycle now) const {
   const Cycle period = params_.ectn_update_period;
   return period > 0 && now % period == 0;

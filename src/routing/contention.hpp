@@ -86,6 +86,7 @@ class EctnMechanism final : public TransitMechanism {
   [[nodiscard]] bool update_due(Cycle now) const override;
   void update(Cycle now, std::int32_t shard, RouterId r_lo,
               RouterId r_hi) override;
+  [[nodiscard]] MemoryReport memory_report() const override;
 
  private:
   [[nodiscard]] std::int64_t candidate_bias(

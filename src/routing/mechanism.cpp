@@ -40,6 +40,12 @@ bool RoutingMechanism::admit_injection(Cycle, RouterId, NodeId) const {
   return true;
 }
 
+MemoryReport RoutingMechanism::memory_report() const {
+  MemoryReport report;
+  report.add("contention_counters", counters_.heap_bytes());
+  return report;
+}
+
 bool RoutingMechanism::update_due(Cycle) const { return false; }
 
 void RoutingMechanism::update(Cycle, std::int32_t, RouterId, RouterId) {}

@@ -44,6 +44,7 @@
 #include "sim/config.hpp"
 #include "telemetry/telemetry_sink.hpp"
 #include "topo/topology.hpp"
+#include "util/memory_report.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -155,6 +156,11 @@ class RoutingMechanism {
   [[nodiscard]] virtual bool update_due(Cycle now) const;
   virtual void update(Cycle now, std::int32_t shard, RouterId r_lo,
                       RouterId r_hi);
+
+  // --- accounting
+  /// Bytes of mechanism state: the contention counters, plus whatever a
+  /// mechanism adds (ECtN snapshot, ARN notification slots).
+  [[nodiscard]] virtual MemoryReport memory_report() const;
 
  protected:
   [[nodiscard]] std::int32_t flat_port(RouterId r, PortIndex port) const {

@@ -21,7 +21,7 @@ ArnMechanism::ArnMechanism(const SimParams& params, const Topology& topo,
 
 Decision ArnMechanism::decide_injection(Rng& rng, Cycle now, std::int32_t,
                                         RouterId r, NodeId dst) {
-  decision_now_ = now;
+  decision_now_.store(now, std::memory_order_relaxed);
   // The candidate pick always runs so the RNG draw count per decision
   // stays fixed (bit-exactness rule) even when the route is not hot.
   const bool min_hot = min_route_notified(now, r, dst);
@@ -41,7 +41,8 @@ std::int64_t ArnMechanism::candidate_bias(RouterId r,
   // Steer the candidate pick away from first hops that are themselves
   // under a live notification; the penalty weighs like a saturated
   // contention counter, so un-notified candidates win ties decisively.
-  return notified(decision_now_, r, c.first_hop)
+  return notified(decision_now_.load(std::memory_order_relaxed), r,
+                  c.first_hop)
              ? static_cast<std::int64_t>(params_.counter_saturation)
              : 0;
 }
@@ -63,6 +64,13 @@ bool ArnMechanism::min_route_notified(Cycle now, RouterId r,
 
 bool ArnMechanism::admit_injection(Cycle now, RouterId r, NodeId dst) const {
   return !min_route_notified(now, r, dst);
+}
+
+MemoryReport ArnMechanism::memory_report() const {
+  MemoryReport report = RoutingMechanism::memory_report();
+  report.add("notify_slots",
+             vector_bytes(active_at_) + vector_bytes(expires_at_));
+  return report;
 }
 
 bool ArnMechanism::update_due(Cycle now) const {

@@ -23,6 +23,7 @@
 // barriers, so (seed, threads) byte-reproducibility holds).
 #pragma once
 
+#include <atomic>
 #include <vector>
 
 #include "routing/mechanism.hpp"
@@ -50,6 +51,7 @@ class ArnMechanism final : public RoutingMechanism {
   [[nodiscard]] bool update_due(Cycle now) const override;
   void update(Cycle now, std::int32_t shard, RouterId r_lo,
               RouterId r_hi) override;
+  [[nodiscard]] MemoryReport memory_report() const override;
 
   /// True while the notification for (r, out) is live at the sources:
   /// arrived (now >= active cycle) and not yet expired. Exposed for tests.
@@ -76,8 +78,12 @@ class ArnMechanism final : public RoutingMechanism {
   std::vector<Cycle> active_at_;
   std::vector<Cycle> expires_at_;
   // Decision-time cycle, cached by decide_injection so candidate_bias
-  // (called from pick_misroute_channel) can test liveness.
-  Cycle decision_now_ = 0;
+  // (called from pick_misroute_channel) can test liveness. Every shard
+  // stores it during the inject phase, and within one cycle all of them
+  // store the same value, so relaxed atomics suffice: a shard reads its own
+  // store or an equal one, never a stale cycle (the previous cycle's
+  // stores happen before the cycle barrier).
+  std::atomic<Cycle> decision_now_{0};
 };
 
 }  // namespace dfsim::routing

@@ -97,8 +97,20 @@ bool read_trace_binary(std::istream& is, std::vector<TraceEvent>& events,
     return false;
   }
   const std::uint64_t count = get_u64(header.data());
+  // The count is untrusted: bound it by the bytes the stream still holds
+  // before sizing anything by it. Unseekable streams skip the reserve and
+  // fail at the first short record instead.
   std::vector<TraceEvent> parsed;
-  parsed.reserve(static_cast<std::size_t>(count));
+  const std::istream::pos_type here = is.tellg();
+  if (here != std::istream::pos_type(-1)) {
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    if (!is || end < here) return false;
+    const auto left = static_cast<std::uint64_t>(end - here);
+    if (count > left / kRecordBytes) return false;
+    parsed.reserve(static_cast<std::size_t>(count));
+  }
   std::array<unsigned char, kRecordBytes> rec{};
   for (std::uint64_t i = 0; i < count; ++i) {
     if (!is.read(reinterpret_cast<char*>(rec.data()), rec.size())) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "util/memory_report.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -100,6 +101,14 @@ class PacketTracer {
   [[nodiscard]] std::int64_t dropped_events() const { return dropped_events_; }
   [[nodiscard]] std::int64_t sampled_packets() const {
     return sampled_packets_;
+  }
+
+  /// Pool-id slot map and the preallocated event buffer.
+  [[nodiscard]] MemoryReport memory_report() const {
+    MemoryReport report;
+    report.add("slot_map", slot_of_);
+    report.add("events", events_);
+    return report;
   }
 
  private:

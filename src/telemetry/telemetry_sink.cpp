@@ -177,4 +177,22 @@ std::int64_t TelemetrySink::total_ectn_updates() const {
   return sum;
 }
 
+MemoryReport TelemetrySink::memory_report() const {
+  const auto bytes = [](const auto& v) { return vector_bytes(v); };
+  MemoryReport report;
+  report.add("accumulators",
+             bytes(acc_injections_) + bytes(acc_refusals_) +
+                 bytes(acc_deliveries_) + bytes(acc_credit_stalls_) +
+                 bytes(acc_misroutes_) + bytes(acc_link_departures_) +
+                 bytes(gauge_occupancy_) + bytes(gauge_counters_));
+  report.add("frames",
+             bytes(frame_cycles_) + bytes(occupancy_) + bytes(injections_) +
+                 bytes(refusals_) + bytes(deliveries_) +
+                 bytes(credit_stalls_) + bytes(misroutes_) +
+                 bytes(link_departures_) + bytes(counters_) + bytes(causes_) +
+                 bytes(frame_drops_) + bytes(frame_undeliverable_) +
+                 bytes(frame_ectn_updates_) + bytes(frame_links_down_));
+  return report;
+}
+
 }  // namespace dfsim::telemetry

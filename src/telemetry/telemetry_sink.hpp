@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/memory_report.hpp"
 #include "util/types.hpp"
 
 namespace dfsim::telemetry {
@@ -62,6 +63,9 @@ class TelemetrySink {
   [[nodiscard]] std::int32_t forward_ports() const { return fwd_; }
   [[nodiscard]] Cycle sample_period() const { return period_; }
   [[nodiscard]] std::int32_t max_samples() const { return max_samples_; }
+
+  /// Accumulator/gauge arrays and the preallocated frame series.
+  [[nodiscard]] MemoryReport memory_report() const;
 
   // --- hot-path accumulators (engine-side, gated on telemetry_on_)
 

@@ -1,12 +1,15 @@
 #include "topo/dragonfly.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace dfsim {
 
 DragonflyTopology::DragonflyTopology(const TopoParams& params)
-    : params_(params), groups_(params.groups()) {
+    : params_(params),
+      groups_(params.groups()),
+      per_group_(std::max(1, params.a)) {  // a >= 2 is checked below
   if (params_.p < 1 || params_.a < 2 || params_.h < 1) {
     throw std::invalid_argument("dragonfly: need p>=1, a>=2, h>=1");
   }
@@ -56,29 +59,6 @@ DragonflyTopology::DragonflyTopology(const TopoParams& params)
       global_port_[static_cast<std::size_t>(g) * n_groups +
                    static_cast<std::size_t>(gd)] =
           static_cast<std::int16_t>(port);
-    }
-  }
-
-  // Minimal next-output table over router pairs. Route shape is
-  // local?(to gateway) -> global -> local?(to dest router).
-  min_port_.assign(n_routers * n_routers, kEject);
-  for (RouterId r = 0; r < routers(); ++r) {
-    const GroupId g = group_of(r);
-    for (RouterId dr = 0; dr < routers(); ++dr) {
-      const std::size_t idx =
-          static_cast<std::size_t>(r) * n_routers + static_cast<std::size_t>(dr);
-      if (dr == r) continue;  // stays kEject
-      const GroupId gd = group_of(dr);
-      if (gd == g) {
-        min_port_[idx] = static_cast<std::int16_t>(local_port_to(r, dr));
-        continue;
-      }
-      const RouterId gateway = minimal_global_source(g, gd);
-      if (r == gateway) {
-        min_port_[idx] = static_cast<std::int16_t>(minimal_global_port(g, gd));
-      } else {
-        min_port_[idx] = static_cast<std::int16_t>(local_port_to(r, gateway));
-      }
     }
   }
 }
@@ -245,6 +225,15 @@ bool DragonflyTopology::min_link_probe(RouterId r, NodeId dst,
   if (gd == g) return false;
   out = RemoteProbe{minimal_global_source(g, gd), minimal_global_port(g, gd)};
   return true;
+}
+
+MemoryReport DragonflyTopology::memory_report() const {
+  MemoryReport report;
+  report.add("peer", peer_);
+  report.add("peer_port", peer_port_);
+  report.add("global_src", global_src_);
+  report.add("global_port", global_port_);
+  return report;
 }
 
 TrafficTopologyInfo DragonflyTopology::traffic_info() const {

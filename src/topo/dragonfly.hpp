@@ -1,4 +1,4 @@
-// Canonical dragonfly topology with fully precomputed flat tables.
+// Canonical dragonfly topology over O(routers + groups^2) flat tables.
 //
 // Port layout per router (outputs and inputs use the same indices):
 //   [0, a-1)                      local ports, one per other router in group
@@ -9,10 +9,11 @@
 // channel j (j in [0, a*h), owned by router j/h at global port j%h) connects
 // to group j if j < G else j+1, which gives exactly one link per group pair.
 //
-// `minimal_output` is a single array lookup: the next-output table over
-// (router, destination router) pairs is built once in the constructor; at
-// paper scale it is a ~8.5 MB int16 table, which is why route computation
-// never shows up in the simulator profile.
+// `minimal_output` is composed, not stored: the local port inside a group is
+// closed-form (`local_port_to`), and between groups the G x G gateway tables
+// (`global_src_`/`global_port_`, 6 bytes per group pair) name the router
+// owning the group pair's link and its global port. No table grows with
+// routers^2, which is what keeps exa-scale shapes buildable.
 //
 // As a Topology plugin this class also owns the dragonfly-shaped half of the
 // paper's routing mechanisms: the nonminimal candidate space is the a*h
@@ -27,6 +28,7 @@
 
 #include "sim/config.hpp"
 #include "topo/topology.hpp"
+#include "util/fast_div.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -38,9 +40,11 @@ class DragonflyTopology final : public Topology {
   [[nodiscard]] const TopoParams& params() const { return params_; }
   [[nodiscard]] std::int32_t groups() const { return groups_; }
 
-  [[nodiscard]] GroupId group_of(RouterId r) const { return r / params_.a; }
+  [[nodiscard]] GroupId group_of(RouterId r) const {
+    return per_group_.quot(r);
+  }
   [[nodiscard]] std::int32_t local_index(RouterId r) const {
-    return r % params_.a;
+    return per_group_.rem(r);
   }
 
   [[nodiscard]] bool is_local_port(PortIndex port) const {
@@ -78,11 +82,8 @@ class DragonflyTopology final : public Topology {
   [[nodiscard]] PortIndex minimal_output(RouterId r,
                                          NodeId dest) const override {
     const RouterId dr = router_of_node(dest);
-    const PortIndex port = min_port_[static_cast<std::size_t>(r) *
-                                         static_cast<std::size_t>(routers()) +
-                                     static_cast<std::size_t>(dr)];
-    if (port != kEject) return port;
-    return forward_ports() + (dest % params_.p);
+    if (dr == r) return forward_ports() + (dest % params_.p);
+    return minimal_router_output(r, dr);
   }
 
   [[nodiscard]] PortIndex route_toward(RouterId r,
@@ -175,11 +176,15 @@ class DragonflyTopology final : public Topology {
 
   /// Next output port on the minimal route toward router `dr` (kInvalidPort
   /// when `r == dr`).
+  /// Route shape: local?(to gateway) -> global -> local?(to dest router).
   [[nodiscard]] PortIndex minimal_router_output(RouterId r, RouterId dr) const {
-    const PortIndex port = min_port_[static_cast<std::size_t>(r) *
-                                         static_cast<std::size_t>(routers()) +
-                                     static_cast<std::size_t>(dr)];
-    return port == kEject ? kInvalidPort : port;
+    if (r == dr) return kInvalidPort;
+    const GroupId g = group_of(r);
+    const GroupId gd = group_of(dr);
+    if (g == gd) return local_port_to(r, dr);
+    const RouterId gateway = minimal_global_source(g, gd);
+    return r == gateway ? minimal_global_port(g, gd)
+                        : local_port_to(r, gateway);
   }
 
   /// The router in group `g` owning the global link to group `gd` (g != gd).
@@ -218,10 +223,9 @@ class DragonflyTopology final : public Topology {
   /// global hop plus at most one local hop on each side).
   [[nodiscard]] std::int32_t minimal_hops(RouterId from, RouterId to) const;
 
- private:
-  // Sentinel inside min_port_ marking "destination router reached".
-  static constexpr std::int16_t kEject = -2;
+  [[nodiscard]] MemoryReport memory_report() const override;
 
+ private:
   /// Fills a candidate from a group-level channel id of `r`'s group.
   void fill_candidate(RouterId r, std::int32_t channel,
                       NonminCandidate& out) const;
@@ -229,9 +233,11 @@ class DragonflyTopology final : public Topology {
   TopoParams params_;
   std::int32_t groups_ = 0;
 
+  // Divides router ids by a without a divide instruction: the composed
+  // next hop splits up to three router ids into (group, local index).
+  FastDivisor per_group_;
   std::vector<RouterId> peer_;          // [routers x forward_ports]
   std::vector<std::int16_t> peer_port_; // [routers x forward_ports]
-  std::vector<std::int16_t> min_port_;  // [routers x routers]
   std::vector<RouterId> global_src_;    // [groups x groups]
   std::vector<std::int16_t> global_port_;  // [groups x groups]
 };

@@ -31,6 +31,7 @@
 #include <memory>
 
 #include "traffic/model.hpp"
+#include "util/memory_report.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -251,6 +252,11 @@ class Topology {
 
   // --- traffic grouping
   [[nodiscard]] virtual TrafficTopologyInfo traffic_info() const = 0;
+
+  // --- accounting
+  /// Bytes held by the topology's tables. Closed-form topologies (torus,
+  /// flattened butterfly) hold none.
+  [[nodiscard]] virtual MemoryReport memory_report() const { return {}; }
 
   // --- fault overlay
   /// Attach (or detach with nullptr) the link-health view consulted by the

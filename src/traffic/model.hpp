@@ -21,6 +21,7 @@
 
 #include "traffic/spec.hpp"
 #include "traffic/trace.hpp"
+#include "util/memory_report.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -78,6 +79,12 @@ class TrafficModel {
   /// Record-buffer growths past the reserve (zero-alloc accounting).
   [[nodiscard]] std::int64_t record_growth_events() const {
     return record_growth_;
+  }
+  /// Heap bytes of the pre-resolved pattern tables and trace buffers.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return vector_bytes(perm_) + vector_bytes(adv_base_) +
+           vector_bytes(hot_nodes_) + vector_bytes(on_) +
+           vector_bytes(replay_) + vector_bytes(recorded_);
   }
 
   [[nodiscard]] const TrafficParams& spec() const { return spec_; }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
@@ -24,10 +25,36 @@ dfsim::SteadyResult steady(dfsim::RoutingKind kind, dfsim::TrafficKind traffic,
   return dfsim::run_steady(p, opt);
 }
 
+// Index-width limits that Release builds would otherwise not check: the
+// constructor must refuse such shapes up front, before the per-queue
+// tables are allocated.
+void check_construction_limits() {
+  using namespace dfsim;
+  const auto refused = [](const SimParams& p) {
+    try {
+      const Simulator sim(p);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  // a=16, h=16, p=4096: 4112 routers x 4127 ports > 2^24 link ids.
+  SimParams wide = presets::paper();
+  wide.topo = TopoParams{4096, 16, 16};
+  assert(refused(wide));
+  // Paper shape with 2^18-packet global buffers: ~8.7G slots > int32 ids.
+  SimParams deep = presets::paper();
+  deep.router.buf_global_phits = 1 << 21;
+  assert(refused(deep));
+  std::printf("construction limits ok\n");
+}
+
 }  // namespace
 
 int main() {
   using namespace dfsim;
+
+  check_construction_limits();
 
   // Light uniform load: every mechanism must deliver close to offered load
   // with sane latencies.

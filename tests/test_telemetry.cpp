@@ -121,7 +121,7 @@ void test_zero_alloc_with_telemetry() {
   const std::int64_t events = sim.allocation_events();
   sim.run(1000);
   assert(sim.allocation_events() == events);
-  assert(sim.pool_grow_events() == 0);
+  assert(sim.pool_high_water() <= sim.pool_bound());
   // The capacity guards actually engaged, so the flat allocation count
   // covers the post-exhaustion paths as well.
   assert(sim.telemetry_sink().dropped_frames() > 0);
@@ -210,6 +210,18 @@ void test_trace_roundtrip_and_determinism() {
   const std::string full = bin.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   assert(!telemetry::read_trace_binary(truncated, decoded, dropped));
+
+  // A header claiming 2^60 records is rejected cleanly (no length_error or
+  // bad_alloc from sizing the buffer by the claim), outputs untouched.
+  std::string huge = full;
+  for (int i = 0; i < 8; ++i) {
+    huge[8 + static_cast<std::size_t>(i)] =
+        static_cast<char>((std::uint64_t{1} << 60) >> (8 * i));
+  }
+  std::stringstream corrupt(huge);
+  const std::size_t before = decoded.size();
+  assert(!telemetry::read_trace_binary(corrupt, decoded, dropped));
+  assert(decoded.size() == before);
 
   // Chrome trace-event export: valid JSON, one traceEvents entry per event,
   // every lifecycle begin paired or still open (never closed twice).
@@ -300,8 +312,24 @@ void test_heatmap_conservation_and_schema() {
 
 }  // namespace
 
+// Trace records carry the router as uint16; a larger topology must be
+// refused at construction rather than traced with truncated ids.
+void test_trace_rejects_wide_router_ids() {
+  SimParams p = presets::torus(256, 2, 1);  // 65,536 routers
+  p.trace.enabled = true;
+  bool refused = false;
+  try {
+    const Simulator sim(p);
+  } catch (const std::invalid_argument&) {
+    refused = true;
+  }
+  assert(refused);
+  std::cout << "trace router-id limit ok\n";
+}
+
 int main() {
   test_zero_overhead_identity();
+  test_trace_rejects_wide_router_ids();
   test_zero_alloc_with_telemetry();
   test_config_hash_gating();
   test_trace_roundtrip_and_determinism();

@@ -7,10 +7,12 @@
 #include <cassert>
 #include <cstdlib>
 #include <set>
+#include <vector>
 
 #include "fbfly/fb_topology.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/torus.hpp"
+#include "util/fast_div.hpp"
 
 namespace {
 
@@ -48,8 +50,8 @@ void check_preset(const dfsim::SimParams& params) {
     }
   }
 
-  // Minimal routes: walking min_port reaches the destination router within
-  // 3 hops using at most 1 global hop, and minimal_output agrees.
+  // Minimal routes: walking minimal_router_output reaches the destination
+  // router within 3 hops using at most 1 global hop.
   for (RouterId r = 0; r < topo.routers(); ++r) {
     for (RouterId dr = 0; dr < topo.routers(); ++dr) {
       RouterId cur = r;
@@ -87,6 +89,77 @@ void check_preset(const dfsim::SimParams& params) {
       const PortIndex port = topo.local_port_to(r, other);
       assert(topo.is_local_port(port));
       assert(topo.peer(r, port) == other);
+    }
+  }
+}
+
+// FastDivisor (the dragonfly's group / local-index split) must equal / and %
+// over the whole non-negative int32 range the proof covers: every small
+// divisor, and numerators near both ends plus a stride through the middle.
+void check_fast_divisor() {
+  using dfsim::FastDivisor;
+  constexpr std::int32_t kMax = 0x7fffffff;
+  for (const std::int32_t d : {1, 2, 3, 4, 5, 6, 7, 8, 16, 47, 48, 100, 127,
+                               4097, 65535, 1 << 20, kMax}) {
+    const FastDivisor div(d);
+    const auto check = [&](std::int32_t n) {
+      assert(div.quot(n) == n / d);
+      assert(div.rem(n) == n % d);
+    };
+    for (std::int32_t n = 0; n < 100000; ++n) check(n);
+    for (std::int32_t n = kMax; n > kMax - 100000; --n) check(n);
+    for (std::int64_t n = 0; n <= kMax; n += 65521) {
+      check(static_cast<std::int32_t>(n));
+    }
+  }
+}
+
+// The composed next hop must answer exactly what the routers^2 next-hop
+// table it replaced answered. The table is rebuilt here, as that
+// constructor built it, and compared on every (router, destination router)
+// pair through all three entry points.
+void check_against_next_hop_table(const dfsim::TopoParams& shape) {
+  using namespace dfsim;
+  const DragonflyTopology topo(shape);
+  constexpr std::int16_t kEject = -2;
+  const auto n = static_cast<std::size_t>(topo.routers());
+  std::vector<std::int16_t> table(n * n, kEject);
+  for (RouterId r = 0; r < topo.routers(); ++r) {
+    const GroupId g = topo.group_of(r);
+    for (RouterId dr = 0; dr < topo.routers(); ++dr) {
+      if (dr == r) continue;
+      const std::size_t idx = static_cast<std::size_t>(r) * n +
+                              static_cast<std::size_t>(dr);
+      const GroupId gd = topo.group_of(dr);
+      if (gd == g) {
+        table[idx] = static_cast<std::int16_t>(topo.local_port_to(r, dr));
+        continue;
+      }
+      const RouterId gateway = topo.minimal_global_source(g, gd);
+      table[idx] = static_cast<std::int16_t>(
+          r == gateway ? topo.minimal_global_port(g, gd)
+                       : topo.local_port_to(r, gateway));
+    }
+  }
+  for (RouterId r = 0; r < topo.routers(); ++r) {
+    for (RouterId dr = 0; dr < topo.routers(); ++dr) {
+      const std::int16_t want =
+          table[static_cast<std::size_t>(r) * n + static_cast<std::size_t>(dr)];
+      const PortIndex got = topo.minimal_router_output(r, dr);
+      if (want == kEject) {
+        assert(got == kInvalidPort);
+        // Every node of the router ejects on its own port.
+        for (std::int32_t i = 0; i < shape.p; ++i) {
+          assert(topo.minimal_output(r, dr * shape.p + i) ==
+                 topo.forward_ports() + i);
+        }
+        continue;
+      }
+      assert(got == want);
+      assert(topo.route_toward(r, dr) == want);
+      // minimal_output toward any node of dr (first and last checked).
+      assert(topo.minimal_output(r, dr * shape.p) == want);
+      assert(topo.minimal_output(r, dr * shape.p + shape.p - 1) == want);
     }
   }
 }
@@ -129,8 +202,14 @@ void check_candidate_enumeration(const dfsim::Topology& topo,
 }  // namespace
 
 int main() {
+  check_fast_divisor();
   check_preset(dfsim::presets::tiny());
   check_preset(dfsim::presets::small());
+  for (const auto& params :
+       {dfsim::presets::tiny(), dfsim::presets::small(),
+        dfsim::presets::medium(), dfsim::presets::paper()}) {
+    check_against_next_hop_table(params.topo);
+  }
 
   {
     using namespace dfsim;

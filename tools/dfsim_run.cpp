@@ -16,14 +16,18 @@
 // --engine-threads=1,2,8, per shard count, turning the file into a scaling
 // record — emitting the BENCH_engine.json trajectory document, optionally
 // soft-checking it against a committed baseline (--baseline, warns on
-// >threshold drops).
+// >threshold drops). Every point records the process's peak RSS and the
+// simulator's memory report by subsystem (--memory prints it in full;
+// --max-rss-mb turns the peak into a hard limit).
 #include <chrono>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "report/parity.hpp"
 #include "report/registry.hpp"
@@ -65,7 +69,8 @@ int usage(const std::string& error = "") {
       "  perf    [--scales=tiny,medium] [--loads=0.05,0.3] [--routing=Base]\n"
       "          [--traffic=uniform] [--cycles=N] [--warmup=N] [--seed=N]\n"
       "          [--out=BENCH_engine.json] [--baseline=F] [--threshold=0.2]\n"
-      "          [--phases] [--engine-threads=1,2,8]\n";
+      "          [--phases] [--engine-threads=1,2,8] [--memory]\n"
+      "          [--max-rss-mb=N]\n";
   return 2;
 }
 
@@ -476,6 +481,59 @@ int cmd_observe(const CliOptions& cli) {
 // ---------------------------------------------------------------------------
 // perf: raw engine stepping throughput (the BENCH_engine.json trajectory).
 
+/// A "Key:   value" line of a /proc text file; empty when absent.
+std::string proc_field(const char* path, const std::string& key) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, key.size(), key) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? std::string{} : line.substr(start);
+  }
+  return {};
+}
+
+double mib(std::size_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
+/// This process's peak resident set (VmHWM) in MiB; 0 when unreadable.
+double peak_rss_mb() {
+  const std::string kb = proc_field("/proc/self/status", "VmHWM");
+  return kb.empty() ? 0.0 : std::stod(kb) / 1024.0;
+}
+
+/// Host and build a perf measurement was taken on.
+Json host_manifest() {
+  Json host = Json::object();
+  host.set("nproc",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu_model", proc_field("/proc/cpuinfo", "model name"));
+  host.set("compiler", std::string("g++ ") + __VERSION__);
+#ifdef NDEBUG
+  host.set("asserts", false);
+#else
+  host.set("asserts", true);
+#endif
+  return host;
+}
+
+/// MemoryReport bytes in MiB per subsystem (first name component, shard
+/// entries summed over shards).
+Json memory_by_subsystem(const MemoryReport& report) {
+  std::map<std::string, double> mb;
+  for (const MemoryReport::Entry& e : report.entries()) {
+    std::string group = e.name.substr(0, e.name.find('.'));
+    if (group.rfind("shard", 0) == 0) group = "shards";
+    mb[group] += mib(e.bytes);
+  }
+  Json out = Json::object();
+  for (const auto& [group, value] : mb) out.set(group, value);
+  return out;
+}
+
 /// Wall-clock cycles for one timed point, sized so every point finishes in
 /// well under a second on the scan-free engine while still averaging over
 /// enough cycles that per-cycle noise washes out.
@@ -535,6 +593,7 @@ int cmd_perf(const CliOptions& cli) {
   }
 
   Json points = Json::array();
+  double max_rss = 0.0;
   for (const std::string& scale : scales) {
     for (const double load : loads) {
       for (const std::int32_t threads : thread_counts) {
@@ -546,7 +605,10 @@ int cmd_perf(const CliOptions& cli) {
       p.engine.threads = threads;
       const Cycle cycles = cli.get_int("cycles", default_perf_cycles(scale));
 
+      const auto t_setup = std::chrono::steady_clock::now();
       Simulator sim(p);
+      const double setup_seconds = std::chrono::duration<double>(
+          std::chrono::steady_clock::now() - t_setup).count();
       if (phases) sim.enable_phase_profiler();
       sim.run(warmup);
       sim.begin_measurement();
@@ -566,15 +628,31 @@ int cmd_perf(const CliOptions& cli) {
       if (threads != 1) {
         pt.set("engine_threads", static_cast<std::int64_t>(threads));
       }
+      pt.set("setup_seconds", setup_seconds);
       pt.set("cycles", static_cast<std::int64_t>(cycles));
       pt.set("seconds", seconds);
       pt.set("cycles_per_sec", cps);
       pt.set("delivered", sim.metrics().delivered);
+      const MemoryReport memory = sim.memory_report();
+      const double rss = peak_rss_mb();
+      max_rss = std::max(max_rss, rss);
+      pt.set("peak_rss_mb", rss);
+      pt.set("memory_mb", memory_by_subsystem(memory));
       std::cerr << "perf " << scale << " load=" << load;
       if (threads != 1) std::cerr << " threads=" << threads;
       std::cerr << ": " << static_cast<std::int64_t>(cps)
                 << " cycles/sec (" << cycles << " cycles, "
-                << sim.metrics().delivered << " delivered)\n";
+                << sim.metrics().delivered << " delivered); process peak RSS "
+                << format_fixed(rss, 1) << " MiB, accounted "
+                << format_fixed(mib(memory.bytes()), 1) << " MiB\n";
+      if (cli.has("memory")) {
+        memory.print(std::cerr);
+        Json detail = Json::object();
+        for (const MemoryReport::Entry& e : memory.entries()) {
+          detail.set(e.name, mib(e.bytes));
+        }
+        pt.set("memory_detail_mb", std::move(detail));
+      }
       if (phases) {
         const telemetry::PhaseProfiler& prof = sim.phase_profiler();
         Json breakdown = Json::object();
@@ -648,6 +726,8 @@ int cmd_perf(const CliOptions& cli) {
       std::strftime(date, sizeof(date), "%Y-%m-%d", &tm_buf);
     }
     entry.set("date", std::string(date));
+    entry.set("host", host_manifest());
+    entry.set("warmup", static_cast<std::int64_t>(warmup));
     if (phases) entry.set("phase_profiled", true);
     entry.set("points", points);
     history.push_back(std::move(entry));
@@ -664,43 +744,55 @@ int cmd_perf(const CliOptions& cli) {
   }
   if (base_ok && !phases) {
     const double threshold = cli.get_double("threshold", 0.2);
-    // Prefer the baseline's most recent history entry (the actual latest
-    // measurement); fall back to its top-level points for pre-history files.
-    const Json* base_points = &base.get("points");
+    // Each point compares against its newest measurement in the baseline:
+    // history entries newest first (a partial run, such as a single exa
+    // point, does not hide the others), then the top-level points of
+    // pre-history files.
+    std::vector<const Json*> sources;
     if (const Json* history = base.find("history")) {
-      if (history->is_array() && history->size() > 0) {
-        const Json& latest = history->items()[history->size() - 1];
-        if (const Json* hp = latest.find("points")) {
-          if (!latest.find("phase_profiled")) base_points = hp;
+      if (history->is_array()) {
+        for (std::size_t i = history->size(); i-- > 0;) {
+          const Json& entry = history->items()[i];
+          const Json* hp = entry.find("points");
+          if (hp != nullptr && !entry.find("phase_profiled")) {
+            sources.push_back(hp);
+          }
         }
       }
     }
+    sources.push_back(&base.get("points"));
+    // engine_threads is omitted for serial points, so pre-sharding history
+    // entries compare as 1 and keep matching serial points.
+    const auto threads_of = [](const Json& point) {
+      const Json* t = point.find("engine_threads");
+      return t ? static_cast<std::int64_t>(t->as_number()) : std::int64_t{1};
+    };
+    const auto newest_match = [&](const Json& pt) -> const Json* {
+      for (const Json* points : sources) {
+        for (const Json& bp : points->items()) {
+          if (bp.get_string("scale") == pt.get_string("scale") &&
+              bp.get_number("load") == pt.get_number("load") &&
+              threads_of(bp) == threads_of(pt)) {
+            return &bp;
+          }
+        }
+      }
+      return nullptr;
+    };
     int warnings = 0;
     {
       for (const Json& pt : doc.get("points").items()) {
-        for (const Json& bp : base_points->items()) {
-          // engine_threads is omitted for serial points, so pre-sharding
-          // history entries compare as 1 and keep matching serial points.
-          const auto threads_of = [](const Json& point) {
-            const Json* t = point.find("engine_threads");
-            return t ? static_cast<std::int64_t>(t->as_number())
-                     : std::int64_t{1};
-          };
-          if (bp.get_string("scale") != pt.get_string("scale") ||
-              bp.get_number("load") != pt.get_number("load") ||
-              threads_of(bp) != threads_of(pt)) {
-            continue;
-          }
-          const double now = pt.get_number("cycles_per_sec");
-          const double before = bp.get_number("cycles_per_sec");
-          if (before > 0.0 && now < (1.0 - threshold) * before) {
-            ++warnings;
-            std::cerr << "perf WARNING: " << pt.get_string("scale")
-                      << " load=" << pt.get_number("load") << " regressed "
-                      << format_fixed(100.0 * (1.0 - now / before), 1)
-                      << "% (" << static_cast<std::int64_t>(before) << " -> "
-                      << static_cast<std::int64_t>(now) << " cycles/sec)\n";
-          }
+        const Json* bp = newest_match(pt);
+        if (bp == nullptr) continue;
+        const double now = pt.get_number("cycles_per_sec");
+        const double before = bp->get_number("cycles_per_sec");
+        if (before > 0.0 && now < (1.0 - threshold) * before) {
+          ++warnings;
+          std::cerr << "perf WARNING: " << pt.get_string("scale")
+                    << " load=" << pt.get_number("load") << " regressed "
+                    << format_fixed(100.0 * (1.0 - now / before), 1)
+                    << "% (" << static_cast<std::int64_t>(before) << " -> "
+                    << static_cast<std::int64_t>(now) << " cycles/sec)\n";
         }
       }
       if (warnings == 0) {
@@ -717,7 +809,13 @@ int cmd_perf(const CliOptions& cli) {
   } else {
     std::cout << doc.dump();
   }
-  return 0;  // soft gate: warnings never fail the run
+  // Throughput warnings never fail the run; a peak-RSS limit does.
+  if (cli.has("max-rss-mb") && max_rss > cli.get_double("max-rss-mb", 0.0)) {
+    std::cerr << "perf: peak RSS " << format_fixed(max_rss, 1)
+              << " MiB exceeds --max-rss-mb=" << cli.get("max-rss-mb") << "\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
