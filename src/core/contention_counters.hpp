@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/memory_report.hpp"
+#include "util/prefetch.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -43,13 +44,23 @@ class ContentionCounters {
 
   /// The tail of a packet whose head requested `port` leaves the router.
   void on_tail_departure(PortIndex port) {
-    auto& over = overflow_[static_cast<std::size_t>(port)];
-    if (over > 0) {
-      --over;
-      return;
-    }
     auto& v = values_[static_cast<std::size_t>(port)];
+    // Only a counter at saturation can hold overflow (on_head overflows
+    // only there, and the value stays put until the overflow drains), so
+    // the overflow word is read only then.
+    if (v == saturation_) {
+      auto& over = overflow_[static_cast<std::size_t>(port)];
+      if (over > 0) {
+        --over;
+        return;
+      }
+    }
     v = static_cast<std::int16_t>(std::max<std::int32_t>(0, v - 1));
+  }
+
+  /// Hint: fetch `port`'s counter line ahead of a head or tail event.
+  void prefetch(PortIndex port) const {
+    dfsim::prefetch(&values_[static_cast<std::size_t>(port)]);
   }
 
   [[nodiscard]] std::int32_t value(PortIndex port) const {

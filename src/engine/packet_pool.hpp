@@ -1,16 +1,16 @@
-// Structure-of-arrays packet storage plus the id ranges that hand ids out.
+// Packet records plus the id ranges that hand ids out.
 //
-// A packet is an index into parallel arrays — the simulator hot loops touch
-// only the field they need (e.g. the routing pass reads `target_router` and
-// `flags` without dragging src/birth cache lines along). The arrays are
-// sized once, at construction, to the engine's structural bound (every live
-// packet sits in a queue slot or on a link ring, so more can never be live)
-// and never reallocate, so sharded workers may index them concurrently.
-// Each array is its own anonymous mapping (LazyArray), which the kernel
-// commits page by page on first touch: a page becomes resident only when
-// an id on it is first handed out. (Heap storage would not guarantee that:
-// malloc may hand back recycled, already-resident blocks.) reset_packet()
-// writes every field before anything reads it.
+// A packet id indexes one 32-byte record (two to a cache line), so a hop
+// that reads a packet's routing state misses at most once instead of once
+// per field. The records are sized once, at construction, to the engine's
+// structural bound (every live packet sits in a queue slot or on a link
+// ring, so more can never be live) and never reallocate, so sharded
+// workers may index them concurrently. The storage is an anonymous mapping
+// (LazyArray), which the kernel commits page by page on first touch: a
+// page becomes resident only when an id on it is first handed out. (Heap
+// storage would not guarantee that: malloc may hand back recycled,
+// already-resident blocks.) reset_packet() writes every field before
+// anything reads it.
 //
 // Ids come from IdRanges, disjoint [lo, hi) slices of the id space: one per
 // engine shard, the serial engine's spanning everything. A range pops its
@@ -112,6 +112,20 @@ class IdRange {
   LazyArray<std::int32_t> free_;
 };
 
+/// One packet's state. Field order keeps `birth` 8-byte aligned; the
+/// alignment pads the record to 32 bytes so no record straddles a line.
+struct alignas(32) Packet {
+  NodeId src;
+  NodeId dst;
+  Cycle birth;
+  RouterId target_router;  // phase-0 gateway target
+  std::int16_t via_port;   // global port at the gateway
+  std::uint16_t hops;      // total hops (livelock guard)
+  std::int8_t g_hops;      // global hops taken (VC class)
+  std::uint8_t flags;
+};
+static_assert(sizeof(Packet) == 32);
+
 class PacketPool {
  public:
   // Packet flag bits.
@@ -124,36 +138,24 @@ class PacketPool {
 
   PacketPool() = default;
   explicit PacketPool(std::int32_t bound)
-      : bound_(bound),
-        src(slots()),
-        dst(slots()),
-        birth(slots()),
-        target_router(slots()),
-        via_port(slots()),
-        g_hops(slots()),
-        hops(slots()),
-        flags(slots()) {}
+      : bound_(bound), packets_(static_cast<std::size_t>(bound)) {}
+
+  Packet& operator[](std::int32_t id) {
+    return packets_[static_cast<std::size_t>(id)];
+  }
+  const Packet& operator[](std::int32_t id) const {
+    return packets_[static_cast<std::size_t>(id)];
+  }
 
   /// Writes every field of a freshly allocated packet.
   void reset_packet(std::int32_t id, NodeId source, NodeId dest, Cycle now) {
-    const auto pi = static_cast<std::size_t>(id);
-    src[pi] = source;
-    dst[pi] = dest;
-    birth[pi] = now;
-    target_router[pi] = -1;
-    via_port[pi] = -1;
-    g_hops[pi] = 0;
-    hops[pi] = 0;
-    flags[pi] = 0;
+    (*this)[id] = Packet{source, dest, now, -1, -1, 0, 0, 0};
   }
 
-  /// Ids the arrays hold (the structural bound).
+  /// Ids the records hold (the structural bound).
   [[nodiscard]] std::int32_t bound() const { return bound_; }
 
-  static constexpr std::size_t kBytesPerPacket =
-      sizeof(NodeId) + sizeof(NodeId) + sizeof(Cycle) + sizeof(RouterId) +
-      sizeof(std::int16_t) + sizeof(std::int8_t) + sizeof(std::uint16_t) +
-      sizeof(std::uint8_t);
+  static constexpr std::size_t kBytesPerPacket = sizeof(Packet);
 
   /// Slot storage: reserved for the bound, committed up to `high_water`
   /// ids (the sum of the id ranges' high-water marks).
@@ -165,22 +167,8 @@ class PacketPool {
   }
 
  private:
-  [[nodiscard]] std::size_t slots() const {
-    return static_cast<std::size_t>(bound_);
-  }
-
   std::int32_t bound_ = 0;
-
- public:
-  // SoA fields, indexed by packet id.
-  LazyArray<NodeId> src;
-  LazyArray<NodeId> dst;
-  LazyArray<Cycle> birth;
-  LazyArray<RouterId> target_router;  // phase-0 gateway target
-  LazyArray<std::int16_t> via_port;   // global port at the gateway
-  LazyArray<std::int8_t> g_hops;      // global hops taken (VC class)
-  LazyArray<std::uint16_t> hops;      // total hops (livelock guard)
-  LazyArray<std::uint8_t> flags;
+  LazyArray<Packet> packets_;
 };
 
 }  // namespace dfsim

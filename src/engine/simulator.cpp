@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -12,6 +11,7 @@
 #include "engine/head_wait.hpp"
 #include "routing/factory.hpp"
 #include "topo/factory.hpp"
+#include "util/prefetch.hpp"
 
 namespace dfsim {
 
@@ -34,20 +34,15 @@ Simulator::Simulator(const SimParams& params,
   vmax_ = std::max({params_.router.vcs_local, params_.router.vcs_global,
                     params_.router.vcs_injection});
   psize_ = std::max(1, params_.packet_size_phits);
+  div_vmax_ = FastDivisor(vmax_);
+  div_radix_ = FastDivisor(radix_);
 
   if (params_.engine.threads < 1) {
     throw std::invalid_argument("engine.threads must be >= 1");
   }
   // Index widths, checked here because Release builds compile asserts out:
-  // the due-link heap key carries a link id in kLinkBits bits, and flat
-  // queue indices are int32.
+  // flat queue indices are int32.
   const auto n_out = static_cast<std::int64_t>(topo_.routers()) * radix_;
-  if (n_out >= (std::int64_t{1} << kLinkBits)) {
-    throw std::invalid_argument(
-        "topology has " + std::to_string(n_out) +
-        " router ports; the engine's link ids hold at most 2^" +
-        std::to_string(kLinkBits) + " - 1");
-  }
   if (n_out * vmax_ > std::numeric_limits<std::int32_t>::max()) {
     throw std::invalid_argument("topology has too many (port, VC) queues "
                                 "for int32 queue indices");
@@ -166,15 +161,43 @@ void Simulator::build_layout() {
   // Structural packet bound: every live packet sits in a queue slot or on a
   // link ring. Capacities depend on the port and VC only, so the bound is
   // routers x per-router slots. Checked before any table is allocated:
-  // packet ids and slab/ring offsets are int32.
+  // queue capacities are int16 in the packed queue record, and packet ids
+  // and slab/ring offsets are int32.
+  port_cap_.assign(static_cast<std::size_t>(radix_) *
+                       static_cast<std::size_t>(vmax_),
+                   0);
+  port_vcs_.assign(static_cast<std::size_t>(radix_), 0);
   std::int64_t slots_per_router = 0;
   for (PortIndex ip = 0; ip < radix_; ++ip) {
+    port_vcs_[static_cast<std::size_t>(ip)] =
+        ip >= fwd_ ? params_.router.vcs_injection
+        : topo_.port_class(ip) == PortClass::kLocalClass
+            ? params_.router.vcs_local
+            : params_.router.vcs_global;
     for (VcIndex vc = 0; vc < vmax_; ++vc) {
-      slots_per_router += queue_capacity(ip, vc);
+      const std::int32_t cap = queue_capacity(ip, vc);
+      if (cap > std::numeric_limits<std::int16_t>::max()) {
+        throw std::invalid_argument(
+            "a router queue holds " + std::to_string(cap) +
+            " packets; queue capacities are int16 (at most " +
+            std::to_string(std::numeric_limits<std::int16_t>::max()) + ")");
+      }
+      port_cap_[static_cast<std::size_t>(ip * vmax_ + vc)] =
+          static_cast<std::int16_t>(cap);
+      slots_per_router += cap;
     }
   }
+  std::int32_t max_delay = 0;
   for (PortIndex port = 0; port < fwd_; ++port) {
-    slots_per_router += ring_capacity(port);
+    const std::int32_t cap = ring_capacity(port);
+    if (cap > std::numeric_limits<std::int16_t>::max()) {
+      throw std::invalid_argument(
+          "a link holds " + std::to_string(cap) +
+          " packets in flight; link rings are int16 (at most " +
+          std::to_string(std::numeric_limits<std::int16_t>::max()) + ")");
+    }
+    slots_per_router += cap;
+    max_delay = std::max(max_delay, link_delay_of(port));
   }
   const std::int64_t bound = slots_per_router * routers;
   if (bound > std::numeric_limits<std::int32_t>::max()) {
@@ -186,46 +209,63 @@ void Simulator::build_layout() {
   const auto n_q = static_cast<std::size_t>(routers) *
                    static_cast<std::size_t>(radix_) *
                    static_cast<std::size_t>(vmax_);
+  const auto per_router = static_cast<std::size_t>(radix_ * vmax_);
 
-  q_offset_.assign(n_q, 0);
-  q_cap_.assign(n_q, 0);
-  q_head_.assign(n_q, 0);
-  q_size_.assign(n_q, 0);
-  q_free_.assign(n_q, 0);
-  q_counted_.assign(n_q, -1);
-  q_request_.assign(n_q, -1);
-  q_wait_.assign(n_q, 0);
-
+  // Queues and credits. Every credit starts at the capacity of the queue it
+  // guards: a queue's own (port, vc) capacity for injection slots, and the
+  // downstream queue's for output slots, which the wiring loop below checks
+  // equals the output port's own.
+  q_.assign(n_q, QueueRec{});
+  credit_.assign(n_q, 0);
   std::int32_t offset = 0;
-  for (RouterId r = 0; r < routers; ++r) {
-    for (PortIndex ip = 0; ip < radix_; ++ip) {
-      for (VcIndex vc = 0; vc < vmax_; ++vc) {
-        const auto q = static_cast<std::size_t>(queue_index(r, ip, vc));
-        const std::int32_t cap = queue_capacity(ip, vc);
-        q_offset_[q] = offset;
-        q_cap_[q] = cap;
-        q_free_[q] = cap;
-        offset += cap;
-      }
+  for (std::size_t base = 0; base < n_q; base += per_router) {
+    for (std::size_t i = 0; i < per_router; ++i) {
+      const std::int16_t cap = port_cap_[i];
+      q_[base + i].offset = offset;
+      q_[base + i].cap = cap;
+      credit_[base + i] = cap;
+      offset += cap;
     }
   }
   slab_.assign(static_cast<std::size_t>(offset), kInvalidPacket);
 
-  // Output-side tables.
+  // Output-side tables: each forward output's link (downstream queue block,
+  // delay, in-flight ring), and the upstream credit slot of every queue
+  // block: (peer, peer_port) is fed by output (r, port); an injection block
+  // keeps its own slot.
   const auto n_out = static_cast<std::size_t>(routers) *
                      static_cast<std::size_t>(radix_);
-  out_busy_until_.assign(n_out, 0);
-  down_queue_base_.assign(n_out, -1);
-  link_delay_.assign(n_out, 0);
+  out_.assign(n_out, Output{});
+  up_credit_.assign(n_out, 0);
+  std::int32_t ring_total = 0;
   for (RouterId r = 0; r < routers; ++r) {
     for (PortIndex port = 0; port < fwd_; ++port) {
       const std::size_t idx = static_cast<std::size_t>(flat_port(r, port));
       const RouterId peer = topo_.peer(r, port);
       const PortIndex peer_port = topo_.peer_port(r, port);
-      down_queue_base_[idx] = queue_index(peer, peer_port, 0);
-      link_delay_[idx] = link_delay_of(port);
+      if (!std::equal(port_cap_.begin() + port * vmax_,
+                      port_cap_.begin() + (port + 1) * vmax_,
+                      port_cap_.begin() + peer_port * vmax_)) {
+        throw std::invalid_argument(
+            "link from port " + std::to_string(port) + " to port " +
+            std::to_string(peer_port) +
+            " joins ports with different buffer capacities");
+      }
+      Output& o = out_[idx];
+      o.down_base = queue_index(peer, peer_port, 0);
+      o.delay = link_delay_of(port);
+      o.ring_offset = ring_total;
+      o.ring_cap = static_cast<std::int16_t>(ring_capacity(port));
+      ring_total += o.ring_cap;
+      up_credit_[static_cast<std::size_t>(flat_port(peer, peer_port))] =
+          credit_slot(r, port, 0);
+    }
+    for (PortIndex ip = fwd_; ip < radix_; ++ip) {
+      up_credit_[static_cast<std::size_t>(flat_port(r, ip))] =
+          credit_slot(r, ip, 0);
     }
   }
+  ring_slab_.assign(static_cast<std::size_t>(ring_total), LinkEvent{});
 
   // Allocators.
   allocators_.reserve(static_cast<std::size_t>(routers));
@@ -243,22 +283,12 @@ void Simulator::build_layout() {
                            static_cast<std::size_t>(queue_words_per_router_),
                        0);
 
-  // Per-link in-flight rings.
-  ring_offset_.assign(n_out, 0);
-  ring_cap_.assign(n_out, 0);
-  ring_head_.assign(n_out, 0);
-  ring_count_.assign(n_out, 0);
-  std::int32_t ring_total = 0;
-  for (RouterId r = 0; r < routers; ++r) {
-    for (PortIndex port = 0; port < fwd_; ++port) {
-      const std::size_t idx = static_cast<std::size_t>(flat_port(r, port));
-      const std::int32_t cap = ring_capacity(port);
-      ring_offset_[idx] = ring_total;
-      ring_cap_[idx] = cap;
-      ring_total += cap;
-    }
-  }
-  ring_slab_.assign(static_cast<std::size_t>(ring_total), LinkEvent{});
+  // Timing wheel shape: a ring front is due at most max_delay + max extra
+  // latency cycles out.
+  const std::int32_t extra = fault_on_ ? fault_.max_extra_latency() : 0;
+  wheel_mask_ = std::bit_ceil(static_cast<std::uint64_t>(max_delay) +
+                              static_cast<std::uint64_t>(extra) + 1) -
+                1;
 
   pool_ = PacketPool(static_cast<std::int32_t>(bound));
 }
@@ -309,21 +339,24 @@ void Simulator::build_shards() {
     sh.request_batch.reserve(radix_, vmax_);
     sh.router_active.assign(
         static_cast<std::size_t>((r_hi - r_lo + 63) / 64), 0);
+    sh.wheel.assign(static_cast<std::size_t>(wheel_mask_ + 1), -1);
+    sh.active_routers.reserve(static_cast<std::size_t>(r_hi - r_lo));
     shards_.push_back(std::move(sh));
   }
 
   if (n_shards_ == 1) {
-    // Due-link heap: at most one entry per link, so this reserve is a hard
-    // structural bound and the heap never allocates after construction.
-    shards_[0].link_heap.reserve(n_out);
+    // A bucket holds at most every link, so this reserve is a hard
+    // structural bound and the due list never allocates after construction.
+    shards_[0].due.reserve(n_out);
     shards_[0].ids = IdRange(0, pool_.bound());
     return;
   }
 
   // Ownership tables, derived from the wiring rather than topology
-  // symmetry assumptions: the credit counter of queue block (r, ip) belongs
-  // to whichever shard departs packets into it (the upstream router), and a
-  // link's in-flight ring belongs to the downstream router's shard.
+  // symmetry assumptions: the credits of queue block (r, ip) belong to
+  // whichever shard departs packets into it (the upstream router, whose
+  // output holds them), and a link's in-flight ring belongs to the
+  // downstream router's shard.
   credit_owner_.assign(n_out, 0);
   link_owner_.assign(n_out, 0);
   for (RouterId r = 0; r < routers; ++r) {
@@ -336,17 +369,17 @@ void Simulator::build_shards() {
     const std::int32_t own = shard_of_router_[static_cast<std::size_t>(r)];
     for (PortIndex out = 0; out < fwd_; ++out) {
       const std::size_t flat = static_cast<std::size_t>(flat_port(r, out));
-      const std::int32_t down_port = down_queue_base_[flat] / vmax_;
+      const std::int32_t down_port = out_[flat].down_base / vmax_;
       credit_owner_[static_cast<std::size_t>(down_port)] = own;
       link_owner_[flat] = shard_of_router_[static_cast<std::size_t>(
-          down_queue_base_[flat] / (radix_ * vmax_))];
+          out_[flat].down_base / (radix_ * vmax_))];
     }
   }
 
-  // Per-shard due-link heap reserves (one slot per owned link).
+  // Per-shard due-list reserves (one slot per owned link).
   std::vector<std::size_t> owned_links(static_cast<std::size_t>(n_shards_), 0);
   for (std::size_t l = 0; l < n_out; ++l) {
-    if (ring_cap_[l] > 0) {
+    if (out_[l].ring_cap > 0) {
       ++owned_links[static_cast<std::size_t>(link_owner_[l])];
     }
   }
@@ -358,15 +391,15 @@ void Simulator::build_shards() {
   for (std::int32_t i = 0; i < n_shards_; ++i) {
     const Shard& sh = shards_[static_cast<std::size_t>(i)];
     const std::int64_t slab_lo =
-        q_offset_[static_cast<std::size_t>(queue_index(sh.r_lo, 0, 0))];
+        q_[static_cast<std::size_t>(queue_index(sh.r_lo, 0, 0))].offset;
     const std::int64_t slab_hi =
         sh.r_hi < routers
-            ? q_offset_[static_cast<std::size_t>(queue_index(sh.r_hi, 0, 0))]
+            ? q_[static_cast<std::size_t>(queue_index(sh.r_hi, 0, 0))].offset
             : static_cast<std::int64_t>(slab_.size());
     share[static_cast<std::size_t>(i)] = slab_hi - slab_lo;
   }
   for (std::size_t l = 0; l < n_out; ++l) {
-    share[static_cast<std::size_t>(link_owner_[l])] += ring_cap_[l];
+    share[static_cast<std::size_t>(link_owner_[l])] += out_[l].ring_cap;
   }
   shard_id_base_.assign(static_cast<std::size_t>(n_shards_) + 1, 0);
   for (std::int32_t i = 0; i < n_shards_; ++i) {
@@ -380,7 +413,7 @@ void Simulator::build_shards() {
     Shard& sh = shards_[static_cast<std::size_t>(i)];
     sh.ids = IdRange(shard_id_base_[static_cast<std::size_t>(i)],
                      shard_id_base_[static_cast<std::size_t>(i) + 1]);
-    sh.link_heap.reserve(owned_links[static_cast<std::size_t>(i)]);
+    sh.due.reserve(owned_links[static_cast<std::size_t>(i)]);
     sh.outbox.resize(static_cast<std::size_t>(n_shards_));
     for (auto& box : sh.outbox) box.reserve(64);
   }
@@ -395,8 +428,7 @@ void Simulator::build_shards() {
 // ---------------------------------------------------------------------------
 // Queue primitives
 
-void Simulator::activate_queue(Shard& sh, std::int32_t q) {
-  const RouterId r = q / (radix_ * vmax_);
+void Simulator::activate_queue(Shard& sh, std::int32_t q, RouterId r) {
   const std::int32_t bit = q - r * radix_ * vmax_;
   queue_active_[static_cast<std::size_t>(r) *
                     static_cast<std::size_t>(queue_words_per_router_) +
@@ -407,8 +439,7 @@ void Simulator::activate_queue(Shard& sh, std::int32_t q) {
                                                          << (rl & 63);
 }
 
-void Simulator::deactivate_queue(Shard& sh, std::int32_t q) {
-  const RouterId r = q / (radix_ * vmax_);
+void Simulator::deactivate_queue(Shard& sh, std::int32_t q, RouterId r) {
   const std::int32_t bit = q - r * radix_ * vmax_;
   const std::size_t base = static_cast<std::size_t>(r) *
                            static_cast<std::size_t>(queue_words_per_router_);
@@ -425,65 +456,69 @@ void Simulator::deactivate_queue(Shard& sh, std::int32_t q) {
   }
 }
 
-void Simulator::push_queue(Shard& sh, std::int32_t q, std::int32_t packet) {
-  const auto qi = static_cast<std::size_t>(q);
-  assert(q_size_[qi] < q_cap_[qi]);
-  const std::int32_t slot =
-      q_offset_[qi] + (q_head_[qi] + q_size_[qi]) % q_cap_[qi];
-  slab_[static_cast<std::size_t>(slot)] = packet;
-  if (++q_size_[qi] == 1) {
-    activate_queue(sh, q);
-    on_new_head(sh, q);
+void Simulator::push_queue(Shard& sh, std::int32_t q, RouterId r,
+                           PortIndex ip, std::int32_t packet) {
+  QueueRec& qr = q_[static_cast<std::size_t>(q)];
+  assert(qr.size < qr.cap);
+  std::int32_t slot = qr.head + qr.size;
+  if (slot >= qr.cap) slot -= qr.cap;
+  slab_[static_cast<std::size_t>(qr.offset + slot)] = packet;
+  if (++qr.size == 1) {
+    activate_queue(sh, q, r);
+    on_new_head(sh, q, r, ip);
   }
 }
 
-std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q) {
-  const auto qi = static_cast<std::size_t>(q);
-  assert(q_size_[qi] > 0);
-  const std::int32_t packet =
-      slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
-  q_head_[qi] = (q_head_[qi] + 1) % q_cap_[qi];
-  --q_size_[qi];
+std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q, RouterId r,
+                                  PortIndex ip, VcIndex vc) {
+  QueueRec& qr = q_[static_cast<std::size_t>(q)];
+  assert(qr.size > 0);
+  const std::int32_t packet = slab_[static_cast<std::size_t>(qr.offset +
+                                                             qr.head)];
+  qr.head = static_cast<std::int16_t>(qr.head + 1 == qr.cap ? 0 : qr.head + 1);
+  --qr.size;
+  // The freed slot is a credit for the upstream output (the queue's own
+  // slot for an injection queue).
+  const std::size_t in_flat = static_cast<std::size_t>(flat_port(r, ip));
+  const std::int32_t slot = up_credit_[in_flat] + vc;
   if (n_shards_ == 1) {
-    ++q_free_[qi];
+    ++credit_[static_cast<std::size_t>(slot)];
   } else {
     // The credit belongs to the upstream shard; return it through the
     // inbox when that is someone else (applied at their next merge — the
     // one-cycle credit delay documented in ARCHITECTURE.md).
-    const std::int32_t owner = credit_owner_[static_cast<std::size_t>(
-        q / vmax_)];
+    const std::int32_t owner = credit_owner_[in_flat];
     if (owner == sh.index) {
-      ++q_free_[qi];
+      ++credit_[static_cast<std::size_t>(slot)];
     } else {
       ShardMessage m;
       m.kind = ShardMessage::Kind::kCredit;
-      m.queue = q;
+      m.queue = slot;
       push_msg(sh, owner, m);
     }
   }
-  if (q_size_[qi] > 0) {
-    on_new_head(sh, q);
+  if (qr.size > 0) {
+    on_new_head(sh, q, r, ip);
   } else {
-    deactivate_queue(sh, q);
+    deactivate_queue(sh, q, r);
   }
   return packet;
 }
 
-void Simulator::on_new_head(Shard& sh, std::int32_t q) {
-  const auto qi = static_cast<std::size_t>(q);
-  const RouterId r = q / (radix_ * vmax_);
-  const PortIndex ip = (q / vmax_) % radix_;
+void Simulator::on_new_head(Shard& sh, std::int32_t q, RouterId r,
+                            PortIndex ip) {
+  QueueRec& qr = q_[static_cast<std::size_t>(q)];
   const std::int32_t packet =
-      slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
-  const auto pi = static_cast<std::size_t>(packet);
+      slab_[static_cast<std::size_t>(qr.offset + qr.head)];
+  Packet& pk = pool_[packet];
 
   // Valiant phase ending on arrival at the intermediate router (candidates
   // with via_port < 0; dragonfly phases end on the global hop instead).
-  if ((pool_.flags[pi] & PacketPool::kPhase0) && pool_.via_port[pi] < 0 &&
-      pool_.target_router[pi] == r) {
-    pool_.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
-    pool_.target_router[pi] = topo_.router_of_node(pool_.dst[pi]);
-    pool_.g_hops[pi] = topo_.phase_end_state(pool_.g_hops[pi]);
+  if ((pk.flags & PacketPool::kPhase0) && pk.via_port < 0 &&
+      pk.target_router == r) {
+    pk.flags &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
+    pk.target_router = topo_.router_of_node(pk.dst);
+    pk.g_hops = topo_.phase_end_state(pk.g_hops);
   }
 
   if (trace_on_) {
@@ -491,58 +526,40 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
                        static_cast<std::uint8_t>(ip));
   }
 
-  if (ip >= fwd_ &&
-      !(pool_.flags[pi] & PacketPool::kRouted)) {
+  if (ip >= fwd_ && !(pk.flags & PacketPool::kRouted)) {
     decide_injection(sh, r, packet);
   }
-  maybe_transit_misroute(sh, r, q, packet);
+  // The destination never changes, so the head's minimal output is computed
+  // once here and reused while it stays the head.
+  const PortIndex min_out = topo_.minimal_output(r, pk.dst);
+  maybe_transit_misroute(sh, r, q, packet, min_out);
 
-  const PortIndex counted = topo_.minimal_output(r, pool_.dst[pi]);
-  q_counted_[qi] = static_cast<std::int16_t>(counted);
-  q_request_[qi] = static_cast<std::int16_t>(routed_output(r, packet));
-  q_wait_[qi] = 0;
-  routing_->on_head(flat_port(r, counted));
+  qr.counted = static_cast<std::int16_t>(min_out);
+  qr.request = static_cast<std::int16_t>(routed_output(r, packet, min_out));
+  qr.wait = 0;
+  routing_->on_head(flat_port(r, min_out));
 }
 
 // ---------------------------------------------------------------------------
 // Routing decisions
 
-PortIndex Simulator::route_output(RouterId r, std::int32_t packet) const {
-  const auto pi = static_cast<std::size_t>(packet);
-  PortIndex out;
-  RouterId target;
-  if (pool_.flags[pi] & PacketPool::kPhase0) {
-    target = pool_.target_router[pi];
-    out = r == target ? static_cast<PortIndex>(pool_.via_port[pi])
-                      : topo_.route_toward(r, target);
-  } else {
-    target = topo_.router_of_node(pool_.dst[pi]);
-    out = topo_.minimal_output(r, pool_.dst[pi]);
+PortIndex Simulator::routed_output(RouterId r, std::int32_t packet,
+                                   PortIndex min_out) {
+  const Packet& pk = pool_[packet];
+  const bool phase0 = (pk.flags & PacketPool::kPhase0) != 0;
+  PortIndex out = min_out;
+  if (phase0) {
+    out = r == pk.target_router ? static_cast<PortIndex>(pk.via_port)
+                                : topo_.route_toward(r, pk.target_router);
   }
   if (fault_on_ && out >= 0 && out < fwd_ && !health_.link_up(r, out)) {
     // Preferred link is down: deterministic topology fallback (no RNG — a
     // blocked head may re-evaluate this every cycle). kInvalidPort when
     // every forward link of `r` is down.
-    out = topo_.fallback_output(r, target, out);
-  }
-  return out;
-}
-
-PortIndex Simulator::routed_output(RouterId r, std::int32_t packet) {
-  const PortIndex out = route_output(r, packet);
-  if (telemetry_on_ && fault_on_ && out >= 0) {
-    // Re-derive the healthy-path preference; route_output only diverges
-    // from it when it fell back around a dead link.
-    const auto pi = static_cast<std::size_t>(packet);
-    PortIndex pref;
-    if (pool_.flags[pi] & PacketPool::kPhase0) {
-      const RouterId target = pool_.target_router[pi];
-      pref = r == target ? static_cast<PortIndex>(pool_.via_port[pi])
-                         : topo_.route_toward(r, target);
-    } else {
-      pref = topo_.minimal_output(r, pool_.dst[pi]);
-    }
-    if (pref != out) {
+    const PortIndex preferred = out;
+    out = topo_.fallback_output(
+        r, phase0 ? pk.target_router : topo_.router_of_node(pk.dst), out);
+    if (telemetry_on_ && out >= 0 && out != preferred) {
       sink_.count_misroute(r, telemetry::MisrouteCause::kFaultFallback);
     }
   }
@@ -551,12 +568,13 @@ PortIndex Simulator::routed_output(RouterId r, std::int32_t packet) {
 
 std::int32_t Simulator::occupancy_phits(RouterId r, PortIndex out) const {
   if (out >= fwd_) return 0;  // ejection: modeled as an ideal sink
-  const std::int32_t base =
-      down_queue_base_[static_cast<std::size_t>(flat_port(r, out))];
+  // The downstream queue's capacity equals the output port's own (checked
+  // at construction), so this reads only r's credit block.
+  const std::int32_t slot = credit_slot(r, out, 0);
   std::int32_t occupied = 0;
   for (VcIndex vc = 0; vc < vmax_; ++vc) {
-    const auto qi = static_cast<std::size_t>(base + vc);
-    occupied += q_cap_[qi] - q_free_[qi];
+    occupied += port_cap_[static_cast<std::size_t>(out * vmax_ + vc)] -
+                credit_[static_cast<std::size_t>(slot + vc)];
   }
   return occupied * psize_;
 }
@@ -581,9 +599,7 @@ std::int32_t Simulator::free_credits(RouterId r, PortIndex out,
   // (r, out), clamped like vc_for; OLM's exact-blocked test reads this.
   const VcIndex cls = topo_.vc_class(r, out, vc_state, false);
   const VcIndex vcn = std::min<VcIndex>(cls, class_vcs(out) - 1);
-  const std::int32_t down =
-      down_queue_base_[static_cast<std::size_t>(flat_port(r, out))] + vcn;
-  return q_free_[static_cast<std::size_t>(down)];
+  return credit_[static_cast<std::size_t>(credit_slot(r, out, vcn))];
 }
 
 std::int32_t Simulator::fault_extra_latency(RouterId r, PortIndex out) const {
@@ -604,28 +620,27 @@ std::int32_t Simulator::port_capacity_phits(PortIndex out) const {
 
 VcIndex Simulator::vc_for(RouterId r, PortIndex out,
                           std::int32_t packet) const {
-  const auto pi = static_cast<std::size_t>(packet);
-  const VcIndex cls =
-      topo_.vc_class(r, out, pool_.g_hops[pi],
-                     (pool_.flags[pi] & PacketPool::kPhase0) != 0);
+  const Packet& pk = pool_[packet];
+  const VcIndex cls = topo_.vc_class(r, out, pk.g_hops,
+                                     (pk.flags & PacketPool::kPhase0) != 0);
   return std::min<VcIndex>(cls, class_vcs(out) - 1);
 }
 
 void Simulator::apply_global_misroute(std::int32_t packet,
                                       const NonminCandidate& cand) {
-  const auto pi = static_cast<std::size_t>(packet);
-  pool_.flags[pi] |= PacketPool::kMisGlobal | PacketPool::kPhase0;
-  pool_.target_router[pi] = cand.inter;
-  pool_.via_port[pi] = static_cast<std::int16_t>(cand.via_port);
+  Packet& pk = pool_[packet];
+  pk.flags |= PacketPool::kMisGlobal | PacketPool::kPhase0;
+  pk.target_router = cand.inter;
+  pk.via_port = static_cast<std::int16_t>(cand.via_port);
 }
 
 void Simulator::decide_injection(Shard& sh, RouterId r, std::int32_t packet) {
-  const auto pi = static_cast<std::size_t>(packet);
-  pool_.flags[pi] |= PacketPool::kRouted;
-  const NodeId d = pool_.dst[pi];
-  pool_.target_router[pi] = topo_.router_of_node(d);
+  Packet& pk = pool_[packet];
+  pk.flags |= PacketPool::kRouted;
+  const NodeId d = pk.dst;
+  pk.target_router = topo_.router_of_node(d);
 
-  if (!inject_decides_ || (pool_.flags[pi] & PacketPool::kInorder)) return;
+  if (!inject_decides_ || (pk.flags & PacketPool::kInorder)) return;
   if (topo_.min_channel(r, d) < 0) return;  // no nonminimal option applies
 
   const routing::Decision dec =
@@ -637,32 +652,30 @@ void Simulator::decide_injection(Shard& sh, RouterId r, std::int32_t packet) {
 }
 
 void Simulator::maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
-                                       std::int32_t packet) {
+                                       std::int32_t packet, PortIndex min_out) {
   // In-transit mechanisms re-decide at injection and wherever the
   // topology's in-transit policy still allows it, so backlogged
   // minimal-committed packets can divert when the counters are hot.
   if (!transit_decides_) return;
-  const auto pi = static_cast<std::size_t>(packet);
-  const std::uint8_t flags = pool_.flags[pi];
-  if (flags & (PacketPool::kMisGlobal | PacketPool::kInorder)) return;
-  if (!topo_.can_misroute_in_transit(
-          r, topo_.router_of_node(pool_.src[pi]), pool_.g_hops[pi])) {
+  const Packet& pk = pool_[packet];
+  if (pk.flags & (PacketPool::kMisGlobal | PacketPool::kInorder)) return;
+  if (!topo_.can_misroute_in_transit(r, topo_.router_of_node(pk.src),
+                                     pk.g_hops)) {
     return;
   }
-  const NodeId d = pool_.dst[pi];
+  const NodeId d = pk.dst;
   const std::int32_t min_ch = topo_.min_channel(r, d);
   if (min_ch < 0) return;
 
-  const PortIndex mp = topo_.minimal_output(r, d);
   const routing::Decision dec = routing_->decide_transit(
-      sh.rng, sh.index, r, d, pool_.g_hops[pi], mp, min_ch);
+      sh.rng, sh.index, r, d, pk.g_hops, min_out, min_ch);
   if (!dec.misroute) return;
   apply_global_misroute(packet, dec.cand);
-  q_request_[static_cast<std::size_t>(q)] =
-      static_cast<std::int16_t>(routed_output(r, packet));
+  q_[static_cast<std::size_t>(q)].request =
+      static_cast<std::int16_t>(routed_output(r, packet, min_out));
   if (telemetry_on_ || trace_on_) {
     note_misroute(r, packet,
-                  r == topo_.router_of_node(pool_.src[pi])
+                  r == topo_.router_of_node(pk.src)
                       ? telemetry::MisrouteCause::kTrigger
                       : telemetry::MisrouteCause::kInTransit);
   }
@@ -671,13 +684,13 @@ void Simulator::maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
 void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
   if (!params_.routing.allow_local_misroute || !transit_decides_) return;
   const std::int32_t locals = topo_.local_detour_ports(r);
-  const auto qi = static_cast<std::size_t>(q);
-  const PortIndex rp = q_request_[qi];
+  QueueRec& qr = q_[static_cast<std::size_t>(q)];
+  const PortIndex rp = qr.request;
   if (rp < 0 || rp >= locals) return;  // detour-eligible hops only
   const std::int32_t packet =
-      slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
-  const auto pi = static_cast<std::size_t>(packet);
-  if (pool_.flags[pi] & (PacketPool::kDetoured | PacketPool::kInorder)) return;
+      slab_[static_cast<std::size_t>(qr.offset + qr.head)];
+  Packet& pk = pool_[packet];
+  if (pk.flags & (PacketPool::kDetoured | PacketPool::kInorder)) return;
 
   if (!routing_->local_detour_fires(sh.rng, sh.index, r, rp)) return;
   Rng& rng = sh.rng;
@@ -689,13 +702,13 @@ void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
     if (ap == rp) continue;
     if (fault_on_ && !health_.link_up(r, ap)) continue;
     const std::size_t flat = static_cast<std::size_t>(flat_port(r, ap));
-    if (out_busy_until_[flat] > now_) continue;
+    if (out_[flat].busy_until > now_) continue;
     const VcIndex vcn = vc_for(r, ap, packet);
-    if (q_free_[static_cast<std::size_t>(down_queue_base_[flat] + vcn)] <= 1) {
+    if (credit_[static_cast<std::size_t>(credit_slot(r, ap, vcn))] <= 1) {
       continue;  // require slack so detours do not fill the last slot
     }
-    q_request_[qi] = static_cast<std::int16_t>(ap);
-    pool_.flags[pi] |= PacketPool::kMisLocal | PacketPool::kDetoured;
+    qr.request = static_cast<std::int16_t>(ap);
+    pk.flags |= PacketPool::kMisLocal | PacketPool::kDetoured;
     note_misroute(r, packet, telemetry::MisrouteCause::kLocalDetour);
     return;
   }
@@ -704,66 +717,90 @@ void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
 // ---------------------------------------------------------------------------
 // Per-cycle phases
 
-void Simulator::link_heap_push(Shard& sh, std::uint64_t key) {
-  // dfsim-check: allow(CHK-ALLOC): reserved to the distinct-link bound
-  sh.link_heap.push_back(key);
-  std::push_heap(sh.link_heap.begin(), sh.link_heap.end(),
-                 std::greater<std::uint64_t>{});
-}
-
-std::uint64_t Simulator::link_heap_pop(Shard& sh) {
-  std::pop_heap(sh.link_heap.begin(), sh.link_heap.end(),
-                std::greater<std::uint64_t>{});
-  const std::uint64_t key = sh.link_heap.back();
-  sh.link_heap.pop_back();
-  return key;
-}
-
 void Simulator::ring_insert(Shard& sh, std::int32_t flat,
                             const LinkEvent& ev) {
-  const auto l = static_cast<std::size_t>(flat);
-  assert(ring_count_[l] < ring_cap_[l]);
-  const std::int32_t slot =
-      ring_offset_[l] + (ring_head_[l] + ring_count_[l]) % ring_cap_[l];
-  ring_slab_[static_cast<std::size_t>(slot)] = ev;
-  // A ring going non-empty registers its (only possible due) front entry in
-  // the due-link heap; rings already in flight keep their existing key.
-  if (ring_count_[l]++ == 0) {
-    link_heap_push(sh, link_key(ev.arrival, flat));
-  }
+  Output& o = out_[static_cast<std::size_t>(flat)];
+  assert(o.ring_count < o.ring_cap);
+  std::int32_t slot = o.ring_head + o.ring_count;
+  if (slot >= o.ring_cap) slot -= o.ring_cap;
+  ring_slab_[static_cast<std::size_t>(o.ring_offset + slot)] = ev;
+  // A ring going non-empty files its (only possible due) front entry in the
+  // timing wheel; rings already in flight stay filed under their front.
+  if (o.ring_count++ == 0) wheel_insert(sh, flat, ev.arrival);
 }
 
 void Simulator::deliver_arrivals(Shard& sh) {
   // Per-link FIFO rings: arrivals on a link are strictly increasing and
   // spaced >= psize cycles, so only the front entry can be due and each
-  // ring contributes one heap key. Idle links cost nothing; same-cycle
-  // arrivals pop in ascending link order (the key's low bits), matching
-  // the pre-active-set full scan bit-exactly.
-  while (!sh.link_heap.empty()) {
-    const std::uint64_t top = sh.link_heap.front();
-    if (static_cast<Cycle>(top >> kLinkBits) != now_) {
-      assert(static_cast<Cycle>(top >> kLinkBits) > now_);
-      break;
+  // ring sits in one wheel bucket. Every front is due within the wheel's
+  // span, so the current bucket holds exactly the rings due now. Sorting it
+  // visits same-cycle arrivals in ascending link order, matching the
+  // pre-active-set full scan bit-exactly.
+  std::vector<std::int32_t>& due = sh.due;
+  due.clear();
+  std::int32_t& bucket = sh.wheel[static_cast<std::size_t>(
+      static_cast<std::uint64_t>(now_) & wheel_mask_)];
+  for (std::int32_t l = bucket; l >= 0;
+       l = out_[static_cast<std::size_t>(l)].next) {
+    // dfsim-check: allow(CHK-ALLOC): reserved to the owned-link bound
+    due.push_back(l);
+  }
+  bucket = -1;
+  std::sort(due.begin(), due.end());
+
+  // Staged lookahead, one dependent load per stage: the link's output
+  // record kLinkAhead links ahead, its ring front kEventAhead ahead, the
+  // target queue and packet records kTargetAhead ahead, and the queue's
+  // tail slot kSlotAhead ahead, so each stage reads what the previous one
+  // fetched.
+  constexpr std::size_t kLinkAhead = 6;
+  constexpr std::size_t kEventAhead = 4;
+  constexpr std::size_t kTargetAhead = 2;
+  constexpr std::size_t kSlotAhead = 1;
+  const std::size_t n = due.size();
+  const auto front_of = [&](std::size_t i) -> const LinkEvent& {
+    const Output& o = out_[static_cast<std::size_t>(due[i])];
+    return ring_slab_[static_cast<std::size_t>(o.ring_offset + o.ring_head)];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kLinkAhead < n) {
+      prefetch(&out_[static_cast<std::size_t>(due[i + kLinkAhead])]);
     }
-    const auto l = static_cast<std::size_t>(
-        top & ((std::uint64_t{1} << kLinkBits) - 1));
-    (void)link_heap_pop(sh);
+    if (i + kEventAhead < n) prefetch(&front_of(i + kEventAhead));
+    if (i + kTargetAhead < n) {
+      const LinkEvent& ahead = front_of(i + kTargetAhead);
+      prefetch(&q_[static_cast<std::size_t>(ahead.down_queue)]);
+      prefetch(&pool_[ahead.packet]);
+    }
+    if (i + kSlotAhead < n) {
+      const QueueRec& qa =
+          q_[static_cast<std::size_t>(front_of(i + kSlotAhead).down_queue)];
+      std::int32_t tail = qa.head + qa.size;
+      if (tail >= qa.cap) tail -= qa.cap;
+      prefetch(&slab_[static_cast<std::size_t>(qa.offset + tail)]);
+    }
+
+    const std::int32_t l = due[i];
+    Output& o = out_[static_cast<std::size_t>(l)];
     const LinkEvent ev =
-        ring_slab_[static_cast<std::size_t>(ring_offset_[l] + ring_head_[l])];
+        ring_slab_[static_cast<std::size_t>(o.ring_offset + o.ring_head)];
     assert(ev.arrival == now_);
-    ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
-    if (--ring_count_[l] > 0) {
-      const LinkEvent& next = ring_slab_[static_cast<std::size_t>(
-          ring_offset_[l] + ring_head_[l])];
-      link_heap_push(sh, link_key(next.arrival, static_cast<std::int32_t>(l)));
+    if (++o.ring_head == o.ring_cap) o.ring_head = 0;
+    if (--o.ring_count > 0) {
+      wheel_insert(sh, l,
+                   ring_slab_[static_cast<std::size_t>(o.ring_offset +
+                                                       o.ring_head)]
+                       .arrival);
     }
+    const std::int32_t in_flat = div_vmax_.quot(ev.down_queue);
+    const RouterId r = div_radix_.quot(in_flat);
+    const PortIndex ip = in_flat - r * radix_;
     if (trace_on_) {
-      tracer_.record_hop(now_, ev.packet, ev.down_queue / (radix_ * vmax_),
+      tracer_.record_hop(now_, ev.packet, r,
                          telemetry::TraceEvent::kLinkArrive,
-                         static_cast<std::uint8_t>((ev.down_queue / vmax_) %
-                                                   radix_));
+                         static_cast<std::uint8_t>(ip));
     }
-    push_queue(sh, ev.down_queue, ev.packet);
+    push_queue(sh, ev.down_queue, r, ip, ev.packet);
   }
 }
 
@@ -788,8 +825,9 @@ void Simulator::inject_traffic(Shard& sh) {
       continue;
     }
     const PortIndex ip = fwd_ + (inj.src % topo_.concentration());
+    // An injection queue's credit slot is its own queue index.
     const std::int32_t q = queue_index(r, ip, 0);
-    if (q_free_[static_cast<std::size_t>(q)] <= 0) {
+    if (credit_[static_cast<std::size_t>(q)] <= 0) {
       ++sh.metrics.refused;
       ++sh.totals.refused;
       if (telemetry_on_) sink_.count_refusal(r);
@@ -807,15 +845,14 @@ void Simulator::inject_traffic(Shard& sh) {
       continue;
     }
     pool_.reset_packet(packet, inj.src, inj.dst, now_);
-    const auto pi = static_cast<std::size_t>(packet);
     if (telemetry_on_) sink_.count_injection(r);
     if (trace_on_) tracer_.on_inject(now_, packet, r, inj.dst);
     if (params_.traffic.inorder_fraction > 0.0 &&
         rng.next_bool(params_.traffic.inorder_fraction)) {
-      pool_.flags[pi] |= PacketPool::kInorder;
+      pool_[packet].flags |= PacketPool::kInorder;
     }
-    --q_free_[static_cast<std::size_t>(q)];
-    push_queue(sh, q, packet);
+    --credit_[static_cast<std::size_t>(q)];
+    push_queue(sh, q, r, ip, packet);
   }
 }
 
@@ -826,106 +863,184 @@ void Simulator::route_and_allocate(Shard& sh) {
   // re-evaluation (and its RNG draws) happen in the original sequence.
   // Grants mutate only the router being processed (depart pops its own
   // input queues; departures land on link rings or outboxes, not queues),
-  // so iterating over word copies is safe.
-  const std::int32_t qwpr = queue_words_per_router_;
+  // so the active-router list gathered up front stays exact, and iterating
+  // over word copies is safe.
+  std::vector<RouterId>& routers = sh.active_routers;
+  routers.clear();
   for (std::size_t rw = 0; rw < sh.router_active.size(); ++rw) {
     std::uint64_t rbits = sh.router_active[rw];
     while (rbits != 0) {
       const int rbit = std::countr_zero(rbits);
       rbits &= rbits - 1;
-      const auto r =
-          sh.r_lo + static_cast<RouterId>(rw * 64 + static_cast<std::size_t>(
-                                                        rbit));
-      const std::size_t qbase =
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(qwpr);
-      const std::int32_t q0 = r * radix_ * vmax_;
-      sh.request_batch.clear();
-      for (std::int32_t w = 0; w < qwpr; ++w) {
-        std::uint64_t qbits = queue_active_[qbase + static_cast<std::size_t>(w)];
-        while (qbits != 0) {
-          const int qbit = std::countr_zero(qbits);
-          qbits &= qbits - 1;
-          const std::int32_t local = w * 64 + qbit;
-          const std::int32_t q = q0 + local;
-          const auto qi = static_cast<std::size_t>(q);
-          assert(q_size_[qi] > 0);
+      // dfsim-check: allow(CHK-ALLOC): reserved to the shard's router count
+      routers.push_back(
+          sh.r_lo +
+          static_cast<RouterId>(rw * 64 + static_cast<std::size_t>(rbit)));
+    }
+  }
 
-          if (head_wait_due(q_wait_[qi])) {
-            // The head has been blocked for a while: re-evaluate in-transit
-            // global misrouting and consider an opportunistic local detour.
-            const std::int32_t packet = slab_[static_cast<std::size_t>(
-                q_offset_[qi] + q_head_[qi])];
-            maybe_transit_misroute(sh, r, q, packet);
-            maybe_local_detour(sh, r, q);
-          }
-          q_wait_[qi] = advance_head_wait(q_wait_[qi]);
-
-          PortIndex out = q_request_[qi];
-          if (fault_on_ &&
-              (out < 0 || (out < fwd_ && !health_.link_up(r, out)))) {
-            // The requested link died (or no live option existed when the
-            // head was last routed): re-route via the topology fallback.
-            // Heads with no live output wait in place — a flap may revive
-            // the link, and head-wait re-evaluation above still lets the
-            // adaptive mechanisms divert the packet.
-            const std::int32_t packet = slab_[static_cast<std::size_t>(
-                q_offset_[qi] + q_head_[qi])];
-            out = routed_output(r, packet);
-            q_request_[qi] = static_cast<std::int16_t>(out);
-            if (out < 0) continue;
-          }
-          const std::size_t flat = static_cast<std::size_t>(flat_port(r, out));
-          if (out_busy_until_[flat] > now_) continue;
-          if (out < fwd_) {
-            const std::int32_t packet = slab_[static_cast<std::size_t>(
-                q_offset_[qi] + q_head_[qi])];
-            const VcIndex vcn = vc_for(r, out, packet);
-            if (q_free_[static_cast<std::size_t>(down_queue_base_[flat] +
-                                                 vcn)] <= 0) {
-              if (telemetry_on_) sink_.count_credit_stall(r);
-              continue;
-            }
-          }
-          sh.request_batch.add(static_cast<PortIndex>(local / vmax_),
-                               static_cast<VcIndex>(local % vmax_), out);
+  // Staged lookahead over the router list, one dependent load per stage,
+  // for every occupied queue: the router's queue-occupancy words
+  // kWordsAhead routers ahead; the queue records and the allocator object
+  // kQueuesAhead ahead; the head's slab slot, its contention counter and
+  // the requested output's record and credits kHeadsAhead ahead; the
+  // allocator's state, the packets a departure would touch (the head and
+  // the next head) and the ring slot it would fill kPacketsAhead ahead. A
+  // router's queues change only while it is processed, so each stage reads
+  // what the previous stage fetched.
+  constexpr std::size_t kWordsAhead = 4;
+  constexpr std::size_t kQueuesAhead = 3;
+  constexpr std::size_t kHeadsAhead = 2;
+  constexpr std::size_t kPacketsAhead = 1;
+  const std::int32_t qwpr = queue_words_per_router_;
+  const auto for_each_active = [&](RouterId ra, auto&& fn) {
+    const std::size_t wbase =
+        static_cast<std::size_t>(ra) * static_cast<std::size_t>(qwpr);
+    const std::size_t qa = static_cast<std::size_t>(ra) *
+                           static_cast<std::size_t>(radix_ * vmax_);
+    for (std::int32_t w = 0; w < qwpr; ++w) {
+      std::uint64_t bits = queue_active_[wbase + static_cast<std::size_t>(w)];
+      while (bits != 0) {
+        fn(q_[qa + static_cast<std::size_t>(w * 64 + std::countr_zero(bits))]);
+        bits &= bits - 1;
+      }
+    }
+  };
+  const std::size_t n = routers.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kWordsAhead < n) {
+      prefetch(&queue_active_[static_cast<std::size_t>(
+                                  routers[i + kWordsAhead]) *
+                              static_cast<std::size_t>(qwpr)]);
+    }
+    if (i + kQueuesAhead < n) {
+      const RouterId ra = routers[i + kQueuesAhead];
+      for_each_active(ra, [](const QueueRec& qr) { prefetch(&qr); });
+      prefetch_span(&allocators_[static_cast<std::size_t>(ra)],
+                    sizeof(SeparableAllocator));
+    }
+    if (i + kHeadsAhead < n) {
+      const RouterId ra = routers[i + kHeadsAhead];
+      for_each_active(ra, [&](const QueueRec& qr) {
+        prefetch(&slab_[static_cast<std::size_t>(qr.offset + qr.head)]);
+        routing_->prefetch_counter(flat_port(ra, qr.counted));
+        if (qr.request < 0) return;
+        prefetch(&out_[static_cast<std::size_t>(flat_port(ra, qr.request))]);
+        prefetch(&credit_[static_cast<std::size_t>(
+            credit_slot(ra, qr.request, 0))]);
+      });
+    }
+    if (i + kPacketsAhead < n) {
+      const RouterId ra = routers[i + kPacketsAhead];
+      allocators_[static_cast<std::size_t>(ra)].prefetch_state();
+      for_each_active(ra, [&](const QueueRec& qr) {
+        prefetch(&pool_[slab_[static_cast<std::size_t>(qr.offset + qr.head)]]);
+        if (qr.size > 1) {
+          const std::int32_t next = qr.head + 1 == qr.cap ? 0 : qr.head + 1;
+          prefetch(&pool_[slab_[static_cast<std::size_t>(qr.offset + next)]]);
         }
-      }
-      if (sh.request_batch.empty()) continue;
+        if (qr.request < 0 || qr.request >= fwd_) return;
+        const auto flat = static_cast<std::size_t>(flat_port(ra, qr.request));
+        // Another shard's ring may be mid-write: read only our own.
+        if (n_shards_ > 1 && link_owner_[flat] != sh.index) return;
+        const Output& o = out_[flat];
+        std::int32_t tail = o.ring_head + o.ring_count;
+        if (tail >= o.ring_cap) tail -= o.ring_cap;
+        prefetch(&ring_slab_[static_cast<std::size_t>(o.ring_offset + tail)]);
+      });
+    }
 
-      SeparableAllocator& alloc = allocators_[static_cast<std::size_t>(r)];
-      alloc.begin_cycle();
-      for (std::int32_t it = 0; it < params_.router.speedup; ++it) {
-        if (alloc.iterate(sh.request_batch).empty() && it > 0) break;
+    const RouterId r = routers[i];
+    const std::size_t qbase =
+        static_cast<std::size_t>(r) * static_cast<std::size_t>(qwpr);
+    const std::int32_t q0 = r * radix_ * vmax_;
+    sh.request_batch.clear();
+    for (std::int32_t w = 0; w < qwpr; ++w) {
+      std::uint64_t qbits = queue_active_[qbase + static_cast<std::size_t>(w)];
+      while (qbits != 0) {
+        const int qbit = std::countr_zero(qbits);
+        qbits &= qbits - 1;
+        const std::int32_t local = w * 64 + qbit;
+        const std::int32_t q = q0 + local;
+        QueueRec& qr = q_[static_cast<std::size_t>(q)];
+        assert(qr.size > 0);
+
+        if (head_wait_due(qr.wait)) {
+          // The head has been blocked for a while: re-evaluate in-transit
+          // global misrouting and consider an opportunistic local detour.
+          const std::int32_t packet =
+              slab_[static_cast<std::size_t>(qr.offset + qr.head)];
+          maybe_transit_misroute(sh, r, q, packet, qr.counted);
+          maybe_local_detour(sh, r, q);
+        }
+        qr.wait = advance_head_wait(qr.wait);
+
+        PortIndex out = qr.request;
+        if (fault_on_ &&
+            (out < 0 || (out < fwd_ && !health_.link_up(r, out)))) {
+          // The requested link died (or no live option existed when the
+          // head was last routed): re-route via the topology fallback.
+          // Heads with no live output wait in place — a flap may revive
+          // the link, and head-wait re-evaluation above still lets the
+          // adaptive mechanisms divert the packet.
+          const std::int32_t packet =
+              slab_[static_cast<std::size_t>(qr.offset + qr.head)];
+          out = routed_output(r, packet, qr.counted);
+          qr.request = static_cast<std::int16_t>(out);
+          if (out < 0) continue;
+        }
+        const std::size_t flat = static_cast<std::size_t>(flat_port(r, out));
+        if (out_[flat].busy_until > now_) continue;
+        if (out < fwd_) {
+          const std::int32_t packet =
+              slab_[static_cast<std::size_t>(qr.offset + qr.head)];
+          const VcIndex vcn = vc_for(r, out, packet);
+          if (credit_[static_cast<std::size_t>(credit_slot(r, out, vcn))] <=
+              0) {
+            if (telemetry_on_) sink_.count_credit_stall(r);
+            continue;
+          }
+        }
+        const PortIndex ip = div_vmax_.quot(local);
+        sh.request_batch.add(ip, static_cast<VcIndex>(local - ip * vmax_),
+                             out);
       }
-      for (const AllocGrant& grant : alloc.cycle_grants()) {
-        depart(sh, r, grant);
-      }
+    }
+    if (sh.request_batch.empty()) continue;
+
+    SeparableAllocator& alloc = allocators_[static_cast<std::size_t>(r)];
+    alloc.begin_cycle();
+    for (std::int32_t it = 0; it < params_.router.speedup; ++it) {
+      if (alloc.iterate(sh.request_batch).empty() && it > 0) break;
+    }
+    for (const AllocGrant& grant : alloc.cycle_grants()) {
+      depart(sh, r, grant);
     }
   }
 }
 
 void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
   const std::int32_t q = queue_index(r, grant.in, grant.vc);
-  const auto qi = static_cast<std::size_t>(q);
-  const std::int16_t counted = q_counted_[qi];
-  const std::int32_t packet = pop_queue(sh, q);
+  const std::int16_t counted = q_[static_cast<std::size_t>(q)].counted;
+  const std::int32_t packet = pop_queue(sh, q, r, grant.in, grant.vc);
   routing_->on_tail_departure(flat_port(r, counted));
 
   const PortIndex out = grant.out;
   const std::size_t flat = static_cast<std::size_t>(flat_port(r, out));
-  out_busy_until_[flat] = now_ + psize_;
+  Output& o = out_[flat];
+  o.busy_until = now_ + psize_;
 
   if (out >= fwd_) {
     deliver(sh, r, packet);
     return;
   }
 
-  const auto pi = static_cast<std::size_t>(packet);
+  Packet& pk = pool_[packet];
   if (fault_on_) {
     // Hard invariant (gated == 0): the request filter in route_and_allocate
     // never lets a head depart onto a down link.
     if (!health_.link_up(r, out)) ++sh.metrics.dead_link_hops;
-    if (pool_.hops[pi] >= hop_cap_) {
+    if (pk.hops >= hop_cap_) {
       // Livelock guard: rerouted around faults past any plausible path
       // length; drop rather than circulate forever.
       ++sh.metrics.undeliverable;
@@ -937,7 +1052,7 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
       release_packet(sh, packet);
       return;
     }
-    pool_.hops[pi] = static_cast<std::uint16_t>(pool_.hops[pi] + 1);
+    pk.hops = static_cast<std::uint16_t>(pk.hops + 1);
   }
   if (telemetry_on_) {
     sink_.count_link_departure(static_cast<std::int32_t>(flat));
@@ -947,20 +1062,19 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
                        static_cast<std::uint8_t>(out));
   }
   const VcIndex vcn = vc_for(r, out, packet);  // pre-transition state
-  const std::int32_t down = down_queue_base_[flat] + vcn;
-  --q_free_[static_cast<std::size_t>(down)];
+  --credit_[static_cast<std::size_t>(credit_slot(r, out, vcn))];
+  const std::int32_t down = o.down_base + vcn;
 
-  const HopTransition hop = topo_.on_hop(r, out, pool_.g_hops[pi]);
-  pool_.g_hops[pi] = hop.vc_state;
+  const HopTransition hop = topo_.on_hop(r, out, pk.g_hops);
+  pk.g_hops = hop.vc_state;
   if (hop.reset_detour) {
-    pool_.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kDetoured);
+    pk.flags &= static_cast<std::uint8_t>(~PacketPool::kDetoured);
   }
-  if (hop.end_phase0 && (pool_.flags[pi] & PacketPool::kPhase0)) {
-    pool_.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
-    pool_.target_router[pi] = topo_.router_of_node(pool_.dst[pi]);
+  if (hop.end_phase0 && (pk.flags & PacketPool::kPhase0)) {
+    pk.flags &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
+    pk.target_router = topo_.router_of_node(pk.dst);
   }
-
-  Cycle arrival = now_ + link_delay_[flat];
+  Cycle arrival = now_ + o.delay;
   if (fault_on_) arrival += health_.extra_latency(r, out);
   const auto lid = static_cast<std::int32_t>(flat);
   if (n_shards_ == 1 || link_owner_[flat] == sh.index) {
@@ -980,10 +1094,10 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
 }
 
 void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
-  const auto pi = static_cast<std::size_t>(packet);
+  const Packet& pk = pool_[packet];
   const Cycle latency =
-      now_ + params_.router.pipeline_cycles + psize_ - pool_.birth[pi];
-  const std::uint8_t flags = pool_.flags[pi];
+      now_ + params_.router.pipeline_cycles + psize_ - pk.birth;
+  const std::uint8_t flags = pk.flags;
   const bool mis_global = (flags & PacketPool::kMisGlobal) != 0;
   const bool mis_local = (flags & PacketPool::kMisLocal) != 0;
 
@@ -999,7 +1113,7 @@ void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
   if (log_deliveries_) {
     if (sh.deliveries.size() == sh.deliveries.capacity()) ++sh.log_growth;
     // dfsim-check: allow(CHK-ALLOC): growth is counted in log_growth
-    sh.deliveries.push_back(Delivery{pool_.birth[pi], latency, mis_global,
+    sh.deliveries.push_back(Delivery{pk.birth, latency, mis_global,
                                      !mis_global && !mis_local});
   }
   if (telemetry_on_) sink_.count_delivery(r);
@@ -1058,24 +1172,25 @@ void Simulator::purge_faulted_rings(Shard& sh) {
   for (const std::int32_t id : fault_.faulty_links()) {
     const auto l = static_cast<std::size_t>(id);
     if (n_shards_ > 1 && link_owner_[l] != sh.index) continue;
-    if (ring_count_[l] == 0) continue;
+    Output& o = out_[l];
+    if (o.ring_count == 0) continue;
     if (health_.link_up(id / radix_, id % radix_)) continue;
-    while (ring_count_[l] > 0) {
-      const LinkEvent& ev = ring_slab_[static_cast<std::size_t>(
-          ring_offset_[l] + ring_head_[l])];
-      if (n_shards_ == 1) {
-        ++q_free_[static_cast<std::size_t>(ev.down_queue)];
+    while (o.ring_count > 0) {
+      const LinkEvent& ev =
+          ring_slab_[static_cast<std::size_t>(o.ring_offset + o.ring_head)];
+      // The credit sits at this link's own upstream output.
+      const std::int32_t slot = id * vmax_ + (ev.down_queue - o.down_base);
+      const std::int32_t owner =
+          n_shards_ == 1 ? 0
+                         : credit_owner_[static_cast<std::size_t>(
+                               ev.down_queue / vmax_)];
+      if (owner == sh.index) {
+        ++credit_[static_cast<std::size_t>(slot)];
       } else {
-        const std::int32_t owner = credit_owner_[static_cast<std::size_t>(
-            ev.down_queue / vmax_)];
-        if (owner == sh.index) {
-          ++q_free_[static_cast<std::size_t>(ev.down_queue)];
-        } else {
-          ShardMessage m;
-          m.kind = ShardMessage::Kind::kCredit;
-          m.queue = ev.down_queue;
-          push_msg(sh, owner, m);
-        }
+        ShardMessage m;
+        m.kind = ShardMessage::Kind::kCredit;
+        m.queue = slot;
+        push_msg(sh, owner, m);
       }
       ++sh.metrics.dropped;
       ++sh.totals.dropped;
@@ -1087,25 +1202,27 @@ void Simulator::purge_faulted_rings(Shard& sh) {
                       telemetry::TraceEvent::kDrop);
       }
       release_packet(sh, ev.packet);
-      ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
-      --ring_count_[l];
+      if (++o.ring_head == o.ring_cap) o.ring_head = 0;
+      --o.ring_count;
     }
     purged = true;
   }
   if (!purged) return;
 
-  // Rebuild the shard's due-link heap so the one-key-per-non-empty-ring
-  // invariant survives the purge (ties keep popping in ascending link
-  // order).
-  sh.link_heap.clear();
-  for (std::size_t l = 0; l < ring_count_.size(); ++l) {
-    // Ownership first: every shard purges concurrently, so ring_count_ of a
+  // Rebuild the shard's timing wheel so the one-entry-per-non-empty-ring
+  // invariant survives the purge (deliver_arrivals sorts each bucket, so
+  // the order within a bucket does not matter).
+  std::fill(sh.wheel.begin(), sh.wheel.end(), -1);
+  for (std::size_t l = 0; l < out_.size(); ++l) {
+    // Ownership first: every shard purges concurrently, so the ring of a
     // link another shard owns may be mid-write — don't even read it.
     if (n_shards_ > 1 && link_owner_[l] != sh.index) continue;
-    if (ring_count_[l] == 0) continue;
-    const LinkEvent& front = ring_slab_[static_cast<std::size_t>(
-        ring_offset_[l] + ring_head_[l])];
-    link_heap_push(sh, link_key(front.arrival, static_cast<std::int32_t>(l)));
+    const Output& o = out_[l];
+    if (o.ring_count == 0) continue;
+    wheel_insert(sh, static_cast<std::int32_t>(l),
+                 ring_slab_[static_cast<std::size_t>(o.ring_offset +
+                                                     o.ring_head)]
+                     .arrival);
   }
 }
 
@@ -1158,7 +1275,7 @@ void Simulator::merge_inboxes(Shard& sh) {
           ring_insert(sh, m.link, LinkEvent{m.arrival, m.packet, m.queue});
           break;
         case ShardMessage::Kind::kCredit:
-          ++q_free_[static_cast<std::size_t>(m.queue)];
+          ++credit_[static_cast<std::size_t>(m.queue)];
           break;
         case ShardMessage::Kind::kFreeId:
           sh.ids.release(m.packet);
@@ -1347,7 +1464,7 @@ void Simulator::flush_telemetry() {
     std::int32_t occupied = 0;
     const std::int32_t q0 = r * queues_per_router;
     for (std::int32_t i = 0; i < queues_per_router; ++i) {
-      occupied += q_size_[static_cast<std::size_t>(q0 + i)];
+      occupied += q_[static_cast<std::size_t>(q0 + i)].size;
     }
     sink_.set_gauge_occupancy(r, occupied);
     for (PortIndex port = 0; port < fwd_; ++port) {
@@ -1448,8 +1565,8 @@ double Simulator::backlog_per_node() const {
   std::int64_t waiting = 0;
   for (RouterId r = 0; r < topo_.routers(); ++r) {
     for (std::int32_t i = 0; i < topo_.concentration(); ++i) {
-      waiting += q_size_[static_cast<std::size_t>(
-          queue_index(r, fwd_ + i, 0))];
+      waiting += q_[static_cast<std::size_t>(queue_index(r, fwd_ + i, 0))]
+                     .size;
     }
   }
   return static_cast<double>(waiting) / static_cast<double>(topo_.nodes());
@@ -1512,16 +1629,11 @@ MemoryReport Simulator::memory_report() const {
   const auto bytes = [](const auto& v) { return vector_bytes(v); };
   MemoryReport report;
   report.merge("topology", topo_.memory_report());
-  report.add("engine.queues",
-             bytes(q_offset_) + bytes(q_cap_) + bytes(q_head_) +
-                 bytes(q_size_) + bytes(q_free_) + bytes(q_counted_) +
-                 bytes(q_request_) + bytes(q_wait_));
+  report.add("engine.queues", bytes(q_) + bytes(port_cap_) + bytes(port_vcs_));
+  report.add("engine.credits", bytes(credit_) + bytes(up_credit_));
   report.add("engine.queue_slab", slab_);
-  report.add("engine.outputs", bytes(out_busy_until_) +
-                                   bytes(down_queue_base_) + bytes(link_delay_));
-  report.add("engine.link_rings",
-             bytes(ring_slab_) + bytes(ring_offset_) + bytes(ring_cap_) +
-                 bytes(ring_head_) + bytes(ring_count_));
+  report.add("engine.outputs", out_);
+  report.add("engine.link_rings", ring_slab_);
   std::size_t allocator_bytes = bytes(allocators_);
   for (const SeparableAllocator& a : allocators_) {
     allocator_bytes += a.heap_bytes();
@@ -1535,13 +1647,14 @@ MemoryReport Simulator::memory_report() const {
   report.merge("pool", pool_.memory_report(pool_high_water()));
   for (const Shard& sh : shards_) {
     const std::string name = "shard" + std::to_string(sh.index);
-    report.add(name + ".link_heap", sh.link_heap);
+    report.add(name + ".link_wheel", bytes(sh.wheel) + bytes(sh.due));
     std::size_t outbox_bytes = bytes(sh.outbox);
     for (const auto& box : sh.outbox) outbox_bytes += bytes(box);
     report.add(name + ".outboxes", outbox_bytes);
     report.add(name + ".free_list", sh.ids.free_list_bytes(),
                sh.ids.free_list_reserved());
     report.add(name + ".scratch", bytes(sh.router_active) +
+                                      bytes(sh.active_routers) +
                                       bytes(sh.request_batch.groups()) +
                                       bytes(sh.request_batch.reqs()));
     report.add(name + ".delivery_log", sh.deliveries);
@@ -1563,7 +1676,7 @@ bool Simulator::debug_check_active_state() const {
   const std::int32_t routers = topo_.routers();
   const std::int32_t qwpr = queue_words_per_router_;
 
-  // (1) Queue-occupancy bits mirror q_size exactly; the owning shard's
+  // (1) Queue-occupancy bits mirror queue sizes exactly; the owning shard's
   // router summary bit mirrors the OR of the router's queue words.
   std::int64_t queued_packets = 0;
   for (RouterId r = 0; r < routers; ++r) {
@@ -1579,7 +1692,7 @@ bool Simulator::debug_check_active_state() const {
             (queue_active_[qbase + static_cast<std::size_t>(bit >> 6)] >>
              (bit & 63)) & 1;
         const std::int32_t size =
-            q_size_[static_cast<std::size_t>(queue_index(r, ip, vc))];
+            q_[static_cast<std::size_t>(queue_index(r, ip, vc))].size;
         if (set != (size > 0)) return false;
         queued_packets += size;
       }
@@ -1593,22 +1706,45 @@ bool Simulator::debug_check_active_state() const {
     if (rset != (any != 0)) return false;
   }
 
-  // (2) Each shard's due-link heap holds exactly one entry per non-empty
-  // ring it owns, keyed by that ring's front arrival, and every key is
-  // still in the future or due this cycle.
-  std::vector<std::vector<std::uint64_t>> keys(shards_.size());
-  std::vector<std::size_t> nonempty(shards_.size(), 0);
+  // (2) Each shard's timing wheel holds exactly one entry per non-empty
+  // ring it owns, in the bucket of that ring's front arrival, and every
+  // front is due this cycle or within the wheel's span.
+  const std::size_t n_links = out_.size();
+  std::vector<std::uint8_t> filed(n_links, 0);
+  std::vector<std::size_t> entries(shards_.size(), 0);
+  const auto window = static_cast<Cycle>(wheel_mask_ + 1);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    keys[s] = shards_[s].link_heap;
-    std::sort(keys[s].begin(), keys[s].end());
+    const std::vector<std::int32_t>& wheel = shards_[s].wheel;
+    for (std::size_t b = 0; b < wheel.size(); ++b) {
+      for (std::int32_t l = wheel[b]; l >= 0;
+           l = out_[static_cast<std::size_t>(l)].next) {
+        const auto li = static_cast<std::size_t>(l);
+        // A second filing (or a cycle in the chain) shows up here.
+        if (li >= n_links || filed[li] != 0) return false;
+        filed[li] = 1;
+        ++entries[s];
+        const Output& o = out_[li];
+        if (o.ring_count == 0) return false;
+        if (n_shards_ > 1 && static_cast<std::size_t>(link_owner_[li]) != s) {
+          return false;
+        }
+        const Cycle arrival =
+            ring_slab_[static_cast<std::size_t>(o.ring_offset + o.ring_head)]
+                .arrival;
+        if (arrival < now_ || arrival >= now_ + window) return false;
+        if ((static_cast<std::uint64_t>(arrival) & wheel_mask_) != b) {
+          return false;
+        }
+      }
+    }
   }
   std::int64_t inflight_packets = 0;
-  for (std::size_t l = 0; l < ring_cap_.size(); ++l) {
-    inflight_packets += ring_count_[l];
-    if (ring_count_[l] == 0) continue;
-    const auto owner = static_cast<std::size_t>(
-        n_shards_ == 1 ? 0 : link_owner_[l]);
-    ++nonempty[owner];
+  std::size_t nonempty = 0;
+  for (std::size_t l = 0; l < n_links; ++l) {
+    inflight_packets += out_[l].ring_count;
+    if (out_[l].ring_count == 0) continue;
+    ++nonempty;
+    if (filed[l] == 0) return false;
     // Fault overlay: nothing may remain in flight on a down link (purged at
     // the fault event, never re-entered by the allocator filter).
     if (fault_on_ &&
@@ -1617,31 +1753,40 @@ bool Simulator::debug_check_active_state() const {
             static_cast<PortIndex>(l % static_cast<std::size_t>(radix_)))) {
       return false;
     }
-    const LinkEvent& front =
-        ring_slab_[static_cast<std::size_t>(ring_offset_[l] + ring_head_[l])];
-    if (front.arrival < now_) return false;
-    const std::uint64_t key =
-        link_key(front.arrival, static_cast<std::int32_t>(l));
-    if (!std::binary_search(keys[owner].begin(), keys[owner].end(), key)) {
-      return false;
-    }
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (nonempty[s] != shards_[s].link_heap.size()) return false;
-    if (!std::is_heap(shards_[s].link_heap.begin(),
-                      shards_[s].link_heap.end(),
-                      std::greater<std::uint64_t>{})) {
-      return false;
-    }
-  }
+  std::size_t filed_total = 0;
+  for (const std::size_t e : entries) filed_total += e;
+  if (filed_total != nonempty) return false;
 
   // (3) Pool accounting: every live packet sits in a queue, on a link, or
   // (sharded) in a kLinkSend handoff waiting in an outbox.
+  // (4) Credit conservation: a credit counts the free slots of the queue it
+  // guards — capacity minus packets queued there, minus packets on the link
+  // or in a kLinkSend handoff toward it, minus freed slots whose kCredit
+  // return still waits in an outbox.
+  const std::size_t n_q = q_.size();
+  std::vector<std::int32_t> toward(n_q, 0);   // per flat queue
+  std::vector<std::int32_t> unreturned(n_q, 0);  // per credit slot
+  for (std::size_t l = 0; l < n_links; ++l) {
+    const Output& o = out_[l];
+    for (std::int32_t k = 0; k < o.ring_count; ++k) {
+      std::int32_t slot = o.ring_head + k;
+      if (slot >= o.ring_cap) slot -= o.ring_cap;
+      ++toward[static_cast<std::size_t>(
+          ring_slab_[static_cast<std::size_t>(o.ring_offset + slot)]
+              .down_queue)];
+    }
+  }
   std::int64_t pending_sends = 0;
   for (const Shard& sh : shards_) {
     for (const auto& box : sh.outbox) {
       for (const ShardMessage& m : box) {
-        if (m.kind == ShardMessage::Kind::kLinkSend) ++pending_sends;
+        if (m.kind == ShardMessage::Kind::kLinkSend) {
+          ++pending_sends;
+          ++toward[static_cast<std::size_t>(m.queue)];
+        } else if (m.kind == ShardMessage::Kind::kCredit) {
+          ++unreturned[static_cast<std::size_t>(m.queue)];
+        }
       }
     }
   }
@@ -1649,8 +1794,26 @@ bool Simulator::debug_check_active_state() const {
       queued_packets + inflight_packets + pending_sends) {
     return false;
   }
+  for (std::size_t flat = 0; flat < n_links; ++flat) {
+    const auto port = static_cast<PortIndex>(flat % static_cast<std::size_t>(
+                                                        radix_));
+    for (VcIndex vc = 0; vc < vmax_; ++vc) {
+      const std::size_t slot =
+          flat * static_cast<std::size_t>(vmax_) + static_cast<std::size_t>(vc);
+      // Forward outputs guard their downstream queue; injection slots their
+      // own queue (never in flight, credited locally).
+      const std::size_t down =
+          port < fwd_ ? static_cast<std::size_t>(out_[flat].down_base + vc)
+                      : slot;
+      const QueueRec& qr = q_[down];
+      if (credit_[slot] !=
+          qr.cap - qr.size - toward[down] - unreturned[slot]) {
+        return false;
+      }
+    }
+  }
 
-  // (4) Lifetime packet conservation, drops included.
+  // (5) Lifetime packet conservation, drops included.
   return conservation_error() == 0;
 }
 

@@ -13,8 +13,10 @@
 //    for packet_size cycles and arrives whole after link latency + router
 //    pipeline + serialization.
 //  - Input-queued routers: per (port, VC) fixed-capacity rings over one
-//    shared slab; credits are tracked as free slots (reserved at grant time,
-//    returned when the packet moves on downstream).
+//    shared slab; credits are tracked as free downstream slots at the
+//    upstream router's output, as a credit-based router keeps them
+//    (reserved at grant time, returned when the packet moves on
+//    downstream).
 //  - A separable input-first allocator arbitrates the crossbar each cycle;
 //    the router frequency speedup of Table I is modeled as extra allocator
 //    iterations per cycle.
@@ -37,33 +39,41 @@
 // Occupied queues are tracked as per-router bitmask words plus a router
 // summary mask (set in push_queue, cleared when a queue drains), so
 // route_and_allocate costs O(active queues) instead of
-// O(routers * radix * vcs); links with packets in flight live in a binary
-// min-heap keyed by (front arrival, link id), so deliver_arrivals costs
-// O(due links * log links) instead of a full link scan. Both structures are
-// exact mirrors of the dense state (debug_check_active_state() cross-checks
-// them against a brute-force scan) and preserve the dense scan's iteration
-// order — bit scans walk queues in ascending (port, vc) order and the heap
-// pops same-cycle arrivals in ascending link order — which keeps every RNG
-// draw site in the original sequence. Refactors of this file must keep the
-// 18 goldens in tests/test_engine_equivalence.cpp bit-exact (see
-// ARCHITECTURE.md, "Bit-exactness rule").
+// O(routers * radix * vcs); links with packets in flight sit in a timing
+// wheel bucketed by their front arrival, so deliver_arrivals costs
+// O(due links * log due links) instead of a full link scan. Both structures
+// are exact mirrors of the dense state (debug_check_active_state()
+// cross-checks them against a brute-force scan) and preserve the dense
+// scan's iteration order — bit scans walk queues in ascending (port, vc)
+// order and the due bucket is sorted into ascending link order — which
+// keeps every RNG draw site in the original sequence. Refactors of this
+// file must keep the 18 goldens in tests/test_engine_equivalence.cpp
+// bit-exact (see ARCHITECTURE.md, "Bit-exactness rule").
+//
+// Cache layout: a hop touches a few router-local lines. A queue's hot
+// fields are one 16-byte record; an output's state (busy time, link, ring
+// bookkeeping, wheel chain) is one 32-byte record; a packet is one 32-byte
+// record; and the credits an output spends sit in its own router's credit
+// block. Both per-cycle walks (the sorted due links in deliver_arrivals,
+// the active routers in route_and_allocate) prefetch the records of the
+// entries a fixed distance ahead.
 //
 // Sharded execution (engine.threads > 1): the router range is partitioned
 // into contiguous shards, one barrier-synced worker thread per shard (the
 // calling thread drives shard 0). Each shard owns its routers' queues,
-// credits, allocators, contention counters, its slice of the occupancy
-// bitmasks and due-link heap, a private RNG stream, a private traffic-model
-// instance restricted to the shard's terminals, and private metrics. State
-// that crosses a shard boundary — a packet departing onto a link whose
-// downstream router lives elsewhere, a credit return to an upstream shard, a
-// packet id going home to its allocating shard — travels through per-shard
-// outboxes applied at the next cycle's merge point in fixed (source shard,
-// FIFO) order, so results are a pure function of (params, seed,
-// engine.threads). threads = 1 runs the exact serial code path and stays
-// bit-exact with the goldens; threads > 1 is deterministic per shard count
-// but intentionally NOT bit-exact across shard counts (cross-shard credits
-// land one cycle late, remote occupancy probes read a cycle-start snapshot,
-// and each shard draws from its own RNG stream). See ARCHITECTURE.md,
+// output credits, allocators, contention counters, its slice of the
+// occupancy bitmasks, its timing wheel, a private RNG stream, a private
+// traffic-model instance restricted to the shard's terminals, and private
+// metrics. State that crosses a shard boundary — a packet departing onto a
+// link whose downstream router lives elsewhere, a credit return to an
+// upstream shard, a packet id going home to its allocating shard — travels
+// through per-shard outboxes applied at the next cycle's merge point in
+// fixed (source shard, FIFO) order, so results are a pure function of
+// (params, seed, engine.threads). threads = 1 runs the exact serial code
+// path and stays bit-exact with the goldens; threads > 1 is deterministic
+// per shard count but intentionally NOT bit-exact across shard counts
+// (cross-shard credits land one cycle late, remote occupancy probes read a
+// cycle-start snapshot, and each shard draws from its own RNG stream). See ARCHITECTURE.md,
 // "Sharded execution".
 #pragma once
 
@@ -88,6 +98,7 @@
 #include "telemetry/telemetry_sink.hpp"
 #include "topo/topology.hpp"
 #include "traffic/model.hpp"
+#include "util/fast_div.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -269,16 +280,19 @@ class Simulator : private routing::EngineProbe {
 
   /// Bytes per subsystem: topology tables, per-queue and per-output
   /// arrays, queue slab, link rings, allocators, packet pool (committed up
-  /// to its high-water mark), per-shard heaps/outboxes/free lists, the
+  /// to its high-water mark), per-shard wheels/outboxes/free lists, the
   /// routing mechanism, fault overlay and telemetry.
   [[nodiscard]] MemoryReport memory_report() const;
 
   /// Debug cross-check of the active-set structures against a brute-force
-  /// scan of the dense state: every queue-occupancy bit matches q_size, the
-  /// router summary mask matches the queue bits, the due-link heap holds
-  /// exactly one well-formed entry per non-empty link ring, and the packet
-  /// pool population equals the packets sitting in queues plus rings (plus,
-  /// sharded, handoffs waiting in an outbox).
+  /// scan of the dense state: every queue-occupancy bit matches the queue
+  /// size, the router summary mask matches the queue bits, the timing wheel
+  /// holds exactly one entry per non-empty link ring (in the bucket of its
+  /// front arrival, due within the wheel's span), every credit equals its
+  /// queue's capacity minus the packets queued in it, in flight toward it
+  /// and (sharded) whose credit return still waits in an outbox, and the
+  /// packet pool population equals the packets sitting in queues plus rings
+  /// (plus, sharded, handoffs waiting in an outbox).
   /// O(routers * radix * vcs) and may allocate — tests only, not hot path.
   [[nodiscard]] bool debug_check_active_state() const;
 
@@ -294,10 +308,37 @@ class Simulator : private routing::EngineProbe {
     std::int32_t down_queue = -1;
   };
 
-  /// Link-id field width in the due-link heap key; the remaining 40 high
-  /// bits carry the arrival cycle (bounds: < 2^24 links, < 2^40 cycles —
-  /// both orders of magnitude past paper scale and any practical run).
-  static constexpr int kLinkBits = 24;
+  /// A (port, VC) queue's hot fields in one record: a ring of `cap` slab
+  /// slots from `offset`, plus the head's routing state. cap, head and size
+  /// are int16 (the constructor refuses larger capacities).
+  struct QueueRec {
+    std::int32_t offset = 0;    // slab offset
+    std::int16_t cap = 0;       // capacity in packets (0 = unused vc)
+    std::int16_t head = 0;
+    std::int16_t size = 0;
+    std::int16_t counted = -1;  // head's minimal output (contention counted)
+    std::int16_t request = -1;  // port requested from the allocator
+    std::int16_t wait = 0;      // bounded head-wait (head_wait.hpp)
+  };
+  static_assert(sizeof(QueueRec) == 16);
+
+  /// An output port's state in one 32-byte record: when it is free, where
+  /// its link leads, and the link's in-flight ring — ring_count events from
+  /// ring_head of ring_cap slots at ring_slab_[ring_offset...] — plus the
+  /// ring's timing-wheel chain. A departure reads and writes only this
+  /// record and one ring slot. Ejection outputs (port >= fwd) use
+  /// busy_until only.
+  struct Output {
+    Cycle busy_until = 0;
+    std::int32_t down_base = -1;  // downstream (router, port) queue, VC 0
+    std::int32_t delay = 0;       // pipeline + latency + serialization
+    std::int32_t ring_offset = 0;
+    std::int32_t next = -1;       // next link in its wheel bucket (-1: end)
+    std::int16_t ring_cap = 0;
+    std::int16_t ring_head = 0;
+    std::int16_t ring_count = 0;
+  };
+  static_assert(sizeof(Output) == 32);
 
   /// Seed stride between shard RNG streams (routing and traffic). Shard 0
   /// uses the raw seed, so the serial stream is the threads = 1 stream.
@@ -314,7 +355,8 @@ class Simulator : private routing::EngineProbe {
     };
     Kind kind = Kind::kLinkSend;
     std::int32_t link = -1;                // kLinkSend: flat link id
-    std::int32_t queue = -1;               // kLinkSend/kCredit: flat queue
+    std::int32_t queue = -1;               // kLinkSend: flat queue;
+                                           // kCredit: credit slot
     std::int32_t packet = kInvalidPacket;  // kLinkSend/kFreeId
     Cycle arrival = 0;                     // kLinkSend
   };
@@ -337,8 +379,15 @@ class Simulator : private routing::EngineProbe {
     AllocRequestBatch request_batch;  // per-router sparse requests (reused)
     // Router summary mask slice: bit (r - r_lo) of word (r - r_lo) / 64.
     std::vector<std::uint64_t> router_active;
-    // Due-link min-heap over links this shard owns (downstream side).
-    std::vector<std::uint64_t> link_heap;
+    // Timing wheel over the non-empty rings this shard owns (downstream
+    // side): bucket arrival & wheel_mask_ heads a list of links chained
+    // through Output::next, each filed under its ring's front arrival (-1 =
+    // empty).
+    std::vector<std::int32_t> wheel;
+    // Per-cycle scratch, reserved at construction: the current bucket's
+    // links in ascending order, and the routers with an occupied queue.
+    std::vector<std::int32_t> due;
+    std::vector<RouterId> active_routers;
     std::vector<Delivery> deliveries;
     std::int64_t log_growth = 0;
     // Packet ids [base[i], base[i+1]) are allocated here (the serial
@@ -368,7 +417,7 @@ class Simulator : private routing::EngineProbe {
   /// barrier.
   void advance_faults_serial();
   /// Drops in-flight packets on this shard's newly-dead links (credits
-  /// returned, counted as dropped) and rebuilds the shard's due-link heap.
+  /// returned, counted as dropped) and rebuilds the shard's timing wheel.
   void purge_faulted_rings(Shard& sh);
 
   // --- per-cycle phases
@@ -384,22 +433,25 @@ class Simulator : private routing::EngineProbe {
                                          VcIndex vc) const {
     return (r * radix_ + in_port) * vmax_ + vc;
   }
-  void push_queue(Shard& sh, std::int32_t q, std::int32_t packet);
-  std::int32_t pop_queue(Shard& sh, std::int32_t q);
-  void on_new_head(Shard& sh, std::int32_t q);
+  // Queue q is (r, ip, vc); callers pass r and ip, so no helper divides.
+  void push_queue(Shard& sh, std::int32_t q, RouterId r, PortIndex ip,
+                  std::int32_t packet);
+  std::int32_t pop_queue(Shard& sh, std::int32_t q, RouterId r, PortIndex ip,
+                         VcIndex vc);
+  void on_new_head(Shard& sh, std::int32_t q, RouterId r, PortIndex ip);
 
-  // --- active-set maintenance (queue occupancy bits + due-link heap)
-  void activate_queue(Shard& sh, std::int32_t q);
-  void deactivate_queue(Shard& sh, std::int32_t q);
-  [[nodiscard]] static std::uint64_t link_key(Cycle arrival,
-                                              std::int32_t link) {
-    return (static_cast<std::uint64_t>(arrival) << kLinkBits) |
-           static_cast<std::uint64_t>(link);
+  // --- active-set maintenance (queue occupancy bits + timing wheel)
+  void activate_queue(Shard& sh, std::int32_t q, RouterId r);
+  void deactivate_queue(Shard& sh, std::int32_t q, RouterId r);
+  /// Files link `flat` under the wheel bucket of `arrival`, its ring's front.
+  void wheel_insert(Shard& sh, std::int32_t flat, Cycle arrival) {
+    std::int32_t& bucket = sh.wheel[static_cast<std::size_t>(
+        static_cast<std::uint64_t>(arrival) & wheel_mask_)];
+    out_[static_cast<std::size_t>(flat)].next = bucket;
+    bucket = flat;
   }
-  void link_heap_push(Shard& sh, std::uint64_t key);
-  std::uint64_t link_heap_pop(Shard& sh);
-  /// Appends `ev` to link `flat`'s in-flight ring, registering the ring in
-  /// the shard's due-link heap when it goes non-empty.
+  /// Appends `ev` to link `flat`'s in-flight ring, filing the ring in the
+  /// shard's timing wheel when it goes non-empty.
   void ring_insert(Shard& sh, std::int32_t flat, const LinkEvent& ev);
 
   // --- sharded execution
@@ -446,16 +498,17 @@ class Simulator : private routing::EngineProbe {
     }
   }
 
-  // --- routing
+  // --- routing (`min_out` is the head's minimal output, computed once per
+  // head in on_new_head and kept in its queue record as `counted`)
   void decide_injection(Shard& sh, RouterId r, std::int32_t packet);
-  [[nodiscard]] PortIndex route_output(RouterId r, std::int32_t packet) const;
-  /// route_output plus fault-fallback attribution: when telemetry is on and
-  /// the chosen output differs from the healthy-path preference, the
-  /// divergence is counted as a kFaultFallback misroute.
-  [[nodiscard]] PortIndex routed_output(RouterId r, std::int32_t packet);
+  /// The output `packet` requests at `r`: its healthy-path preference, or
+  /// the topology fallback when that link is down. With telemetry on, a
+  /// fallback is counted as a kFaultFallback misroute.
+  [[nodiscard]] PortIndex routed_output(RouterId r, std::int32_t packet,
+                                        PortIndex min_out);
   void maybe_local_detour(Shard& sh, RouterId r, std::int32_t q);
   void maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
-                              std::int32_t packet);
+                              std::int32_t packet, PortIndex min_out);
   void apply_global_misroute(std::int32_t packet, const NonminCandidate& cand);
 
   // --- state probes (the routing::EngineProbe surface the mechanism reads
@@ -478,10 +531,7 @@ class Simulator : private routing::EngineProbe {
   [[nodiscard]] bool fault_overlay() const override { return fault_on_; }
   /// Configured VC count of `out`'s port class.
   [[nodiscard]] std::int32_t class_vcs(PortIndex out) const {
-    if (out >= fwd_) return params_.router.vcs_injection;
-    return topo_.port_class(out) == PortClass::kLocalClass
-               ? params_.router.vcs_local
-               : params_.router.vcs_global;
+    return port_vcs_[static_cast<std::size_t>(out)];
   }
   /// Downstream VC for `packet` taking `out` at `r`: the topology's VC
   /// class clamped to the port class's configured VC count.
@@ -494,6 +544,11 @@ class Simulator : private routing::EngineProbe {
   }
   [[nodiscard]] std::int32_t flat_port(RouterId r, PortIndex port) const {
     return r * radix_ + port;
+  }
+  /// Credit slot of the VC `vc` queue downstream of output (r, out).
+  [[nodiscard]] std::int32_t credit_slot(RouterId r, PortIndex out,
+                                         VcIndex vc) const {
+    return flat_port(r, out) * vmax_ + vc;
   }
 
   void depart(Shard& sh, RouterId r, const AllocGrant& grant);
@@ -508,24 +563,30 @@ class Simulator : private routing::EngineProbe {
   std::int32_t fwd_ = 0;        // forward (link) ports per router
   std::int32_t vmax_ = 0;       // max VCs across port classes
   std::int32_t psize_ = 0;      // packet size in phits
+  FastDivisor div_vmax_{1};     // flat queue -> flat port
+  FastDivisor div_radix_{1};    // flat port -> router
 
-  // --- per-queue flat state (size routers * radix * vmax); a queue's
-  // slots/size/head belong to its router's shard, its credit counter
-  // (q_free_) to the upstream shard that spends the credits
-  std::vector<std::int32_t> q_offset_;   // slab offset
-  std::vector<std::int32_t> q_cap_;      // capacity in packets (0 = unused vc)
-  std::vector<std::int32_t> q_head_;
-  std::vector<std::int32_t> q_size_;
-  std::vector<std::int32_t> q_free_;     // credits: cap - size - in-flight
-  std::vector<std::int16_t> q_counted_;  // port counted in contention counters
-  std::vector<std::int16_t> q_request_;  // port requested from the allocator
-  std::vector<std::int16_t> q_wait_;     // bounded head-wait (head_wait.hpp)
+  // --- per-queue state (size routers * radix * vmax), owned by the
+  // queue's router's shard
+  std::vector<QueueRec> q_;
   std::vector<std::int32_t> slab_;       // ring storage for all queues
+  // Capacity of a (port, VC) queue at any router, indexed port * vmax + vc,
+  // and the VC count of each port's class.
+  std::vector<std::int16_t> port_cap_;
+  std::vector<std::int32_t> port_vcs_;
 
-  // --- per-output flat state (size routers * radix)
-  std::vector<Cycle> out_busy_until_;
-  std::vector<std::int32_t> down_queue_base_;  // downstream (router,port) base
-  std::vector<std::int32_t> link_delay_;       // latency + pipeline
+  // --- credits, indexed by credit_slot(r, out, vc) and owned by r's shard:
+  // free slots in the queue downstream of forward output (r, out) (cap -
+  // size - in flight); injection ports (out >= fwd) keep their own queue's
+  // slot. up_credit_ maps a queue block (flat input port) to the slot of
+  // its VC 0 credit at the upstream output.
+  std::vector<std::int16_t> credit_;
+  std::vector<std::int32_t> up_credit_;
+
+  // --- per-output flat state (size routers * radix); a link's ring
+  // fields belong to the downstream router's shard, the rest to the
+  // output's own
+  std::vector<Output> out_;
 
   // --- routers
   std::vector<SeparableAllocator> allocators_;
@@ -538,15 +599,17 @@ class Simulator : private routing::EngineProbe {
   std::vector<std::uint64_t> queue_active_;   // routers * words_per_router
 
   // --- packets & per-link in-flight rings (fixed capacity: a link carries
-  // at most delay/packet_size + 2 packets at once); a ring belongs to the
-  // downstream router's shard. The pool is sized once (build_layout) to
-  // the structural bound; ids come from the shards' IdRanges.
+  // at most delay/packet_size + 2 packets at once). The pool is sized once
+  // (build_layout) to the structural bound; ids come from the shards'
+  // IdRanges.
   PacketPool pool_;
   std::vector<LinkEvent> ring_slab_;
-  std::vector<std::int32_t> ring_offset_;  // per (router, out port)
-  std::vector<std::int32_t> ring_cap_;
-  std::vector<std::int32_t> ring_head_;
-  std::vector<std::int32_t> ring_count_;
+  // Timing wheel shape: W = wheel_mask_ + 1 buckets, a power of two above
+  // the longest link traversal (fault extra latency included), so every
+  // ring front is due within W cycles and a bucket holds one arrival cycle.
+  // Buckets chain through Output::next in the one global out_ array; each
+  // link has one owning shard, so the chains never cross.
+  std::uint64_t wheel_mask_ = 0;
 
   // --- sharded execution (n_shards_ == 1: shards_[0] spans everything and
   // the tables below stay empty)

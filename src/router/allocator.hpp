@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "util/memory_report.hpp"
+#include "util/prefetch.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
@@ -105,6 +106,23 @@ class SeparableAllocator {
   std::span<const AllocGrant> iterate(const AllocRequestBatch& batch);
   [[nodiscard]] std::span<const AllocGrant> cycle_grants() const {
     return {cycle_grants_.data(), cycle_grants_.size()};
+  }
+
+  /// Hint: fetches the state begin_cycle() and iterate() touch. Reads this
+  /// object's members, so callers prefetch the object itself earlier.
+  void prefetch_state() const {
+    for (const void* p :
+         {static_cast<const void*>(in_busy_.data()),
+          static_cast<const void*>(out_busy_.data()),
+          static_cast<const void*>(out_has_candidate_.data()),
+          static_cast<const void*>(winners_.data()),
+          static_cast<const void*>(cand_outs_.data()),
+          static_cast<const void*>(iter_grants_.data()),
+          static_cast<const void*>(cycle_grants_.data())}) {
+      prefetch(p);
+    }
+    prefetch_span(in_rr_.data(), in_rr_.size() * sizeof(std::int64_t));
+    prefetch_span(out_rr_.data(), out_rr_.size() * sizeof(std::int32_t));
   }
 
   [[nodiscard]] std::int32_t in_ports() const { return in_ports_; }

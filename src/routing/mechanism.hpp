@@ -118,6 +118,7 @@ class RoutingMechanism {
   void on_tail_departure(std::int32_t flat) {
     counters_.on_tail_departure(flat);
   }
+  void prefetch_counter(std::int32_t flat) const { counters_.prefetch(flat); }
   [[nodiscard]] std::int32_t counter_value(std::int32_t flat) const {
     return counters_.value(flat);
   }

@@ -38,13 +38,16 @@ void check_construction_limits() {
     }
     return false;
   };
-  // a=16, h=16, p=4096: 4112 routers x 4127 ports > 2^24 link ids.
-  SimParams wide = presets::paper();
-  wide.topo = TopoParams{4096, 16, 16};
-  assert(refused(wide));
-  // Paper shape with 2^18-packet global buffers: ~8.7G slots > int32 ids.
+  // Queue capacities are int16 in the packed queue record.
+  SimParams long_queue = presets::tiny();
+  long_queue.router.injection_queue_packets = 40000;
+  assert(refused(long_queue));
+  long_queue.router.injection_queue_packets = 32767;
+  assert(!refused(long_queue));
+  // Paper shape with 32767-packet local buffers: every queue fits int16,
+  // but the network holds ~3.0G slots, past int32 packet ids.
   SimParams deep = presets::paper();
-  deep.router.buf_global_phits = 1 << 21;
+  deep.router.buf_local_phits = 32767 * deep.packet_size_phits;
   assert(refused(deep));
   std::printf("construction limits ok\n");
 }
