@@ -106,12 +106,6 @@ Simulator::Simulator(const SimParams& params,
     tracer_.configure(params_.trace, params_.seed,
                       static_cast<std::size_t>(pool_.bound()));
   }
-
-  ectn_bits_per_counter_ = bits_for_value(params_.routing.counter_saturation);
-  ectn_scratch_.assign(
-      static_cast<std::size_t>(std::max<std::int32_t>(
-          1, topo_.ectn_router_slots())),
-      0);
 }
 
 Simulator::~Simulator() {
@@ -1125,29 +1119,10 @@ void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
 }
 
 void Simulator::update_mechanism(Shard& sh) {
-  const bool mech_due = routing_->update_due(now_);
-  const bool monitor_due = ectn_monitor_enabled_ && monitor_update_due();
-  if (!mech_due && !monitor_due) return;
-
   // The mechanism's update window: shards call it for their own router
   // ranges and may write only per-shard-disjoint state slices; the
   // surrounding barriers order the writes against every reader.
-  if (mech_due) routing_->update(now_, sh.index, sh.r_lo, sh.r_hi);
-
-  if (ectn_monitor_enabled_ && monitor_due) {
-    // Broadcast-overhead measurement over the same counter gauges the ECtN
-    // snapshot serializes (runs under any mechanism — Section VI-B compares
-    // against non-ECtN baselines too). Serial engine only.
-    const std::int32_t slots = topo_.ectn_router_slots();
-    for (RouterId r = sh.r_lo; r < sh.r_hi; ++r) {
-      for (std::int32_t i = 0; i < slots; ++i) {
-        const EctnSlot slot = topo_.ectn_slot(r, i);
-        ectn_scratch_[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(
-            routing_->counter_value(flat_port(r, slot.port)));
-      }
-      ectn_monitor_.on_update(r, ectn_scratch_.data());
-    }
-  }
+  routing_->update(now_, sh.index, sh.r_lo, sh.r_hi);
   if (telemetry_on_) {
     for (RouterId r = sh.r_lo; r < sh.r_hi; ++r) sink_.count_ectn_update();
   }
@@ -1296,56 +1271,73 @@ void Simulator::merge_inboxes(Shard& sh) {
   }
 }
 
-bool Simulator::mechanism_update_due() const {
-  return routing_->update_due(now_) ||
-         (ectn_monitor_enabled_ && monitor_update_due());
-}
+// ---------------------------------------------------------------------------
+// The cycle body and its drivers
 
-bool Simulator::monitor_update_due() const {
-  if (!topo_.supports_ectn()) return false;
-  const Cycle period = params_.routing.ectn_update_period;
-  return period > 0 && now_ % period == 0;
-}
-
-void Simulator::cycle_parallel(Shard& sh) {
-  // Phase schedule for this cycle, published by shard 0 before the last
-  // barrier of the previous cycle (or by run_parallel for the first), so
-  // every shard executes the same barrier count.
+void Simulator::cycle(Shard& sh) {
+  using telemetry::Phase;
+  // This cycle's schedule, published by run() or by shard 0 at the end of
+  // the previous cycle, so every shard executes the same barrier count.
   const bool fault_cycle = fault_cycle_;
   const bool mech_cycle = mech_cycle_;
 
-  // Merge point: apply cross-shard events from the previous cycle. Every
-  // shard is past its route phase (dispatch barrier or end-of-cycle
-  // barrier), so outboxes addressed to us are quiescent.
-  merge_inboxes(sh);
-
+  if (n_shards_ > 1) {
+    // Merge point: apply cross-shard events from the previous cycle. Every
+    // shard is past its route phase (dispatch or end-of-cycle barrier), so
+    // outboxes addressed to us are quiescent.
+    merge_inboxes(sh);
+    lap(sh, Phase::kMerge);
+  }
   if (fault_on_ && fault_cycle) {
     // The health map is global: one shard refreshes it while the rest wait.
     // The barrier also fences purge's outbox appends from the merges above.
     if (sh.index == 0) advance_faults_serial();
-    barrier_->arrive_and_wait();
+    if (n_shards_ > 1) {
+      lap(sh, Phase::kFaults);
+      sync_shards(sh);
+    }
     purge_faulted_rings(sh);
+    lap(sh, Phase::kFaults);
   }
-
-  barrier_->arrive_and_wait();  // merges/purges done; cycle phases begin
+  sync_shards(sh);  // merges/purges done; cycle phases begin
   deliver_arrivals(sh);
+  lap(sh, Phase::kDeliver);
   inject_traffic(sh);
+  lap(sh, Phase::kInject);
   if (mech_cycle) {
     // Mechanism update window: counters stop changing at the barrier above,
     // and no shard reads the refreshed state until the one below.
-    barrier_->arrive_and_wait();
+    sync_shards(sh);
     update_mechanism(sh);
-    barrier_->arrive_and_wait();
+    lap(sh, Phase::kEctn);
+    sync_shards(sh);
   }
   route_and_allocate(sh);
-
-  barrier_->arrive_and_wait();  // route done everywhere; outboxes quiescent
+  lap(sh, Phase::kRoute);
+  sync_shards(sh);  // route done everywhere; outboxes quiescent
   if (sh.index == 0) {
+    if (telemetry_on_ && now_ == telemetry_next_sample_) flush_telemetry();
     ++now_;
-    fault_cycle_ = fault_on_ && now_ == fault_next_event_;
-    mech_cycle_ = mechanism_update_due();
+    schedule_cycle();
   }
-  barrier_->arrive_and_wait();  // now_ and the next schedule published
+  lap(sh, Phase::kTelemetry);
+  sync_shards(sh);  // now_ and the next schedule published
+}
+
+void Simulator::sync_shards(Shard& sh) {
+  if (n_shards_ == 1) return;
+  barrier_->arrive_and_wait();
+  lap(sh, telemetry::Phase::kBarrier);
+}
+
+void Simulator::schedule_cycle() {
+  fault_cycle_ = fault_on_ && now_ == fault_next_event_;
+  mech_cycle_ = routing_->update_due(now_);
+}
+
+void Simulator::run_shard(Shard& sh, Cycle cycles) {
+  if (profile_on_) sh.profiler.begin(cycles);
+  for (Cycle i = 0; i < cycles; ++i) cycle(sh);
 }
 
 void Simulator::worker_loop(std::int32_t shard_index) {
@@ -1365,96 +1357,30 @@ void Simulator::worker_loop(std::int32_t shard_index) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(jitter * shard_index));
     }
-    for (Cycle i = 0; i < cycles; ++i) cycle_parallel(sh);
+    run_shard(sh, cycles);
     std::lock_guard<std::mutex> lock(mu_);
     if (++done_count_ == n_shards_ - 1) cv_.notify_all();
   }
 }
 
-void Simulator::run_parallel(Cycle cycles) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_cycles_ = cycles;
-    done_count_ = 0;
-    // Initial phase schedule; subsequent cycles are published by shard 0.
-    fault_cycle_ = fault_on_ && now_ == fault_next_event_;
-    mech_cycle_ = mechanism_update_due();
-    ++epoch_;
-  }
-  cv_.notify_all();
-  Shard& sh = shards_[0];
-  for (Cycle i = 0; i < cycles; ++i) cycle_parallel(sh);
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return done_count_ == n_shards_ - 1; });
-}
-
-// ---------------------------------------------------------------------------
-// Public driver
-
-void Simulator::step_serial() {
-  if (profile_on_) {
-    step_profiled();
-    return;
-  }
-  Shard& sh = shards_[0];
-  if (fault_on_ && now_ == fault_next_event_) {
-    advance_faults_serial();
-    purge_faulted_rings(sh);
-  }
-  deliver_arrivals(sh);
-  inject_traffic(sh);
-  update_mechanism(sh);
-  route_and_allocate(sh);
-  if (telemetry_on_ && now_ == telemetry_next_sample_) flush_telemetry();
-  ++now_;
-}
-
-void Simulator::step() {
-  if (n_shards_ > 1) {
-    run_parallel(1);
-    return;
-  }
-  step_serial();
-}
+void Simulator::step() { run(1); }
 
 void Simulator::run(Cycle cycles) {
   if (cycles <= 0) return;
+  schedule_cycle();  // the first cycle's; shard 0 publishes the rest
   if (n_shards_ > 1) {
-    run_parallel(cycles);
-    return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_cycles_ = cycles;
+      done_count_ = 0;
+      ++epoch_;
+    }
+    cv_.notify_all();
   }
-  for (Cycle i = 0; i < cycles; ++i) step_serial();
-}
-
-void Simulator::step_profiled() {
-  // Same phase sequence as step_serial(), with steady_clock stamps between
-  // phases. Timing never feeds back into simulation state, so a profiled
-  // run stays bit-exact with an unprofiled one. Serial engine only.
-  Shard& sh = shards_[0];
-  using Clock = telemetry::PhaseProfiler::Clock;
-  const Clock::time_point t0 = Clock::now();
-  if (fault_on_ && now_ == fault_next_event_) {
-    advance_faults_serial();
-    purge_faulted_rings(sh);
-  }
-  const Clock::time_point t1 = Clock::now();
-  profiler_.add(telemetry::Phase::kFaults, t0, t1);
-  deliver_arrivals(sh);
-  const Clock::time_point t2 = Clock::now();
-  profiler_.add(telemetry::Phase::kDeliver, t1, t2);
-  inject_traffic(sh);
-  const Clock::time_point t3 = Clock::now();
-  profiler_.add(telemetry::Phase::kInject, t2, t3);
-  update_mechanism(sh);
-  const Clock::time_point t4 = Clock::now();
-  profiler_.add(telemetry::Phase::kEctn, t3, t4);
-  route_and_allocate(sh);
-  const Clock::time_point t5 = Clock::now();
-  profiler_.add(telemetry::Phase::kRoute, t4, t5);
-  if (telemetry_on_ && now_ == telemetry_next_sample_) flush_telemetry();
-  profiler_.add(telemetry::Phase::kTelemetry, t5, Clock::now());
-  profiler_.add_cycle();
-  ++now_;
+  run_shard(shards_[0], cycles);
+  if (n_shards_ == 1) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return done_count_ == n_shards_ - 1; });
 }
 
 void Simulator::flush_telemetry() {
@@ -1593,21 +1519,11 @@ void Simulator::enable_delivery_log() {
 
 void Simulator::enable_ectn_monitor(std::int32_t async_mult,
                                     std::int32_t urgent_delta) {
-  if (!topo_.supports_ectn()) {
-    throw std::invalid_argument(
-        "ECtN overhead monitor needs a topology with contention-broadcast "
-        "support");
-  }
   if (n_shards_ > 1) {
     throw std::invalid_argument(
         "ECtN overhead monitor requires engine.threads = 1");
   }
-  const std::int32_t channels = topo_.ectn_channels();
-  const std::int32_t id_bits = bits_for_value(channels - 1);
-  ectn_monitor_.configure(topo_.routers(), topo_.ectn_router_slots(),
-                          ectn_bits_per_counter_, id_bits, async_mult,
-                          urgent_delta);
-  ectn_monitor_enabled_ = true;
+  routing_->enable_ectn_monitor(async_mult, urgent_delta);
 }
 
 std::int64_t Simulator::allocation_events() const {
@@ -1666,9 +1582,6 @@ MemoryReport Simulator::memory_report() const {
   }
   if (telemetry_on_) report.merge("telemetry.sink", sink_.memory_report());
   if (trace_on_) report.merge("telemetry.tracer", tracer_.memory_report());
-  if (ectn_monitor_enabled_) {
-    report.add("telemetry.ectn_monitor", ectn_monitor_.heap_bytes());
-  }
   return report;
 }
 

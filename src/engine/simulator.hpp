@@ -69,8 +69,9 @@
 // upstream shard, a packet id going home to its allocating shard — travels
 // through per-shard outboxes applied at the next cycle's merge point in
 // fixed (source shard, FIFO) order, so results are a pure function of
-// (params, seed, engine.threads). threads = 1 runs the exact serial code
-// path and stays bit-exact with the goldens; threads > 1 is deterministic
+// (params, seed, engine.threads). Every shard count runs the same cycle
+// body (cycle()); with one shard its barriers and merge are no-ops, so
+// threads = 1 stays bit-exact with the goldens; threads > 1 is deterministic
 // per shard count but intentionally NOT bit-exact across shard counts
 // (cross-shard credits land one cycle late, remote occupancy probes read a
 // cycle-start snapshot, and each shard draws from its own RNG stream). See ARCHITECTURE.md,
@@ -82,11 +83,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "core/ectn_state.hpp"
 #include "engine/packet_pool.hpp"
 #include "engine/spin_barrier.hpp"
 #include "fault/fault_model.hpp"
@@ -154,7 +153,10 @@ class Simulator : private routing::EngineProbe {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
+  /// Advances one cycle: run(1).
   void step();
+  /// Advances `cycles` cycles; with threads > 1 the workers run their
+  /// shards alongside the calling thread, which drives shard 0.
   void run(Cycle cycles);
 
   [[nodiscard]] Cycle now() const { return now_; }
@@ -228,11 +230,12 @@ class Simulator : private routing::EngineProbe {
   void enable_delivery_log();
   [[nodiscard]] const std::vector<Delivery>& delivery_log() const;
 
-  /// Live ECtN broadcast-overhead measurement (Section VI-B ablation).
-  /// Requires a topology with supports_ectn() and engine.threads = 1.
+  /// Live ECtN broadcast-overhead measurement (Section VI-B ablation),
+  /// kept by the ECtN mechanism (routing::RoutingMechanism). Throws under
+  /// any other mechanism and with engine.threads > 1.
   void enable_ectn_monitor(std::int32_t async_mult, std::int32_t urgent_delta);
   [[nodiscard]] const EctnOverheadMonitor& ectn_monitor() const {
-    return ectn_monitor_;
+    return routing_->ectn_monitor();
   }
 
   /// Spatial telemetry frames (params.telemetry.enabled): per-router /
@@ -251,19 +254,19 @@ class Simulator : private routing::EngineProbe {
     return tracer_;
   }
 
-  /// Per-phase wall-time profiling (dfsim_run perf --phases). API-enabled
-  /// like the ECtN monitor: wall time never affects results, so there is no
-  /// config key and the config hash is untouched. Serial engine only.
+  /// Per-phase wall-time profiling (dfsim_run perf --phases), at any shard
+  /// count. API-enabled like the ECtN monitor: wall time never affects
+  /// results, so there is no config key and the config hash is untouched.
+  /// (Re)starts every shard's profiler from zero.
   void enable_phase_profiler() {
-    if (n_shards_ > 1) {
-      throw std::invalid_argument(
-          "phase profiler requires engine.threads = 1");
-    }
     profile_on_ = true;
-    profiler_.reset();
+    for (Shard& sh : shards_) sh.profiler.reset();
   }
-  [[nodiscard]] const telemetry::PhaseProfiler& phase_profiler() const {
-    return profiler_;
+  /// Shard `shard`'s phase profile; shard 0's runs on the calling thread.
+  /// Sharded profiles also hold the inbox merge and barrier waits.
+  [[nodiscard]] const telemetry::PhaseProfiler& phase_profiler(
+      std::int32_t shard = 0) const {
+    return shards_[static_cast<std::size_t>(shard)].profiler;
   }
 
   /// Growth/allocation events since construction (delivery log, outbox,
@@ -363,9 +366,9 @@ class Simulator : private routing::EngineProbe {
 
   /// One worker shard: a contiguous router range [r_lo, r_hi) plus every
   /// piece of per-cycle mutable state that only that range's owner may
-  /// touch. With threads = 1, shard 0 spans everything and the serial step
-  /// runs against it unchanged (bit-exactness anchor). Cache-line aligned
-  /// so neighboring shards never share a line through this struct.
+  /// touch. With threads = 1, shard 0 spans everything (bit-exactness
+  /// anchor). Cache-line aligned so neighboring shards never share a line
+  /// through this struct.
   struct alignas(64) Shard {
     std::int32_t index = 0;
     RouterId r_lo = 0;
@@ -398,6 +401,7 @@ class Simulator : private routing::EngineProbe {
     std::int64_t live = 0;
     std::vector<std::vector<ShardMessage>> outbox;  // one per dest shard
     std::int64_t msg_growth = 0;
+    telemetry::PhaseProfiler profiler;  // touched only while profile_on_
   };
 
   // --- construction helpers
@@ -424,8 +428,8 @@ class Simulator : private routing::EngineProbe {
   void deliver_arrivals(Shard& sh);
   void inject_traffic(Shard& sh);
   void route_and_allocate(Shard& sh);
-  /// Mechanism update window plus (when enabled) the ECtN overhead-monitor
-  /// scan and the telemetry update count, for this shard's router range.
+  /// Mechanism update window for this shard's router range (plus the
+  /// telemetry update count).
   void update_mechanism(Shard& sh);
 
   // --- queue helpers (flat queue index q)
@@ -454,11 +458,26 @@ class Simulator : private routing::EngineProbe {
   /// shard's timing wheel when it goes non-empty.
   void ring_insert(Shard& sh, std::int32_t flat, const LinkEvent& ev);
 
-  // --- sharded execution
+  // --- the cycle body and its drivers
+  /// One cycle of shard `sh`: the engine's only statement of the phase
+  /// order, barrier-aligned with every other shard. With one shard the
+  /// barriers and the inbox merge are no-ops.
+  void cycle(Shard& sh);
+  /// `cycles` cycles of shard `sh` (the calling thread drives shard 0).
+  void run_shard(Shard& sh, Cycle cycles);
   void worker_loop(std::int32_t shard_index);
-  void run_parallel(Cycle cycles);
-  /// One cycle of shard `sh`, barrier-aligned with every other shard.
-  void cycle_parallel(Shard& sh);
+  /// Publishes the coming cycle's phase schedule (fault event? mechanism
+  /// update?) from now_ and shared state, so every shard agrees on the
+  /// barrier count. Called by run() and by shard 0 at the end of a cycle.
+  void schedule_cycle();
+  /// Waits for every shard (no-op with one shard); the wait is profiled as
+  /// Phase::kBarrier.
+  void sync_shards(Shard& sh);
+  /// Charges the wall time since the shard's last profiler stamp to
+  /// `phase` (no-op unless profiling).
+  void lap(Shard& sh, telemetry::Phase phase) {
+    if (profile_on_) sh.profiler.lap(phase);
+  }
   /// Applies every message addressed to `sh` (source shards in ascending
   /// order, FIFO within each), then refreshes this shard's slice of the
   /// remote-occupancy snapshot.
@@ -469,12 +488,6 @@ class Simulator : private routing::EngineProbe {
   /// released id goes back to the range that owns it.
   [[nodiscard]] std::int32_t allocate_packet(Shard& sh);
   void release_packet(Shard& sh, std::int32_t packet);
-  /// True when the coming cycle is a mechanism (or monitor) update cycle;
-  /// pure function of shared immutable config plus now_, so every shard
-  /// agrees on the barrier schedule.
-  [[nodiscard]] bool mechanism_update_due() const;
-  /// The ECtN overhead monitor's own schedule (API-enabled, serial only).
-  [[nodiscard]] bool monitor_update_due() const;
 
   // --- observability (every call site is gated behind telemetry_on_ /
   // trace_on_ / profile_on_, so disabled runs take predicted-false branches
@@ -483,10 +496,6 @@ class Simulator : private routing::EngineProbe {
   /// Gauge scan (queue occupancy, counter values, down links) + frame
   /// commit at the end of a sample period. Cold path, off the inner loops.
   void flush_telemetry();
-  /// step() body with steady_clock stamps around each phase.
-  void step_profiled();
-  /// Serial step: the exact pre-sharding cycle sequence against shard 0.
-  void step_serial();
   /// Misroute attribution shared by sink and tracer.
   void note_misroute(RouterId r, std::int32_t packet,
                      telemetry::MisrouteCause cause) {
@@ -640,10 +649,10 @@ class Simulator : private routing::EngineProbe {
   std::int32_t done_count_ = 0;    // workers finished this dispatch
   Cycle pending_cycles_ = 0;
   bool stop_ = false;
-  // Next-cycle phase schedule, written by shard 0 in its exclusive window
-  // (between the last two barriers of a cycle) and read by every shard
-  // after the barrier — keeps all shards' barrier counts aligned without
-  // racing on fault_next_event_.
+  // Next-cycle phase schedule (schedule_cycle), written by run() or by
+  // shard 0 in its exclusive window (between the last two barriers of a
+  // cycle) and read by every shard after the barrier — keeps all shards'
+  // barrier counts aligned without racing on fault_next_event_.
   bool fault_cycle_ = false;
   bool mech_cycle_ = false;
   static std::atomic<std::int32_t> jitter_us_;
@@ -659,10 +668,6 @@ class Simulator : private routing::EngineProbe {
   bool inject_decides_ = false;
   bool transit_decides_ = false;
   bool throttle_on_ = false;
-  EctnOverheadMonitor ectn_monitor_;
-  bool ectn_monitor_enabled_ = false;
-  std::int32_t ectn_bits_per_counter_ = 4;
-  std::vector<std::int16_t> ectn_scratch_;
 
   // --- fault overlay (members inert when fault_on_ is false; the engine
   // then takes no fault branches and results are bit-exact with the
@@ -675,14 +680,14 @@ class Simulator : private routing::EngineProbe {
 
   // --- observability (members inert unless enabled; the engine then takes
   // no telemetry/trace/profile branches and results are bit-exact with
-  // builds that predate the layer — ARCHITECTURE.md invariant 11)
+  // builds that predate the layer — ARCHITECTURE.md invariant 11). The
+  // phase profilers live in the shards.
   bool telemetry_on_ = false;
   bool trace_on_ = false;
   bool profile_on_ = false;
   Cycle telemetry_next_sample_ = 0;
   telemetry::TelemetrySink sink_;
   telemetry::PacketTracer tracer_;
-  telemetry::PhaseProfiler profiler_;
 
   // --- time & measurement
   Cycle now_ = 0;

@@ -5,8 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/ectn_state.hpp"
 #include "engine/simulator.hpp"
+#include "routing/ectn_state.hpp"
 
 namespace dfsim::report {
 

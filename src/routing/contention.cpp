@@ -84,6 +84,10 @@ std::int64_t EctnMechanism::candidate_bias(RouterId r,
 MemoryReport EctnMechanism::memory_report() const {
   MemoryReport report = RoutingMechanism::memory_report();
   report.add("ectn_snapshot", ectn_.heap_bytes());
+  if (monitor_on_) {
+    report.add("ectn_monitor",
+               monitor_.heap_bytes() + vector_bytes(monitor_values_));
+  }
   return report;
 }
 
@@ -96,15 +100,32 @@ void EctnMechanism::update(Cycle, std::int32_t, RouterId r_lo, RouterId r_hi) {
   // Each router's slots map to distinct (domain, channel) cells (the
   // dragonfly assigns channel local_index * h + i), so shards write
   // disjoint parts of the snapshot; the engine's barriers order the writes
-  // against every reader.
+  // against every reader. The overhead monitor sees each router's values
+  // as they are broadcast.
   const std::int32_t slots = topo_.ectn_router_slots();
   for (RouterId r = r_lo; r < r_hi; ++r) {
     for (std::int32_t i = 0; i < slots; ++i) {
       const EctnSlot slot = topo_.ectn_slot(r, i);
-      ectn_.set(slot.domain, slot.channel,
-                counters_.value(flat_port(r, slot.port)));
+      const std::int32_t value = counters_.value(flat_port(r, slot.port));
+      ectn_.set(slot.domain, slot.channel, value);
+      if (monitor_on_) {
+        monitor_values_[static_cast<std::size_t>(i)] =
+            static_cast<std::int16_t>(value);
+      }
     }
+    if (monitor_on_) monitor_.on_update(r, monitor_values_.data());
   }
+}
+
+void EctnMechanism::enable_ectn_monitor(std::int32_t async_mult,
+                                        std::int32_t urgent_delta) {
+  const std::int32_t slots = topo_.ectn_router_slots();
+  monitor_.configure(topo_.routers(), slots,
+                     bits_for_value(params_.counter_saturation),
+                     bits_for_value(topo_.ectn_channels() - 1), async_mult,
+                     urgent_delta);
+  monitor_values_.assign(static_cast<std::size_t>(slots), 0);
+  monitor_on_ = true;
 }
 
 }  // namespace dfsim::routing

@@ -10,10 +10,14 @@
 //  - ECtN: Base's trigger OR own counter + the group-broadcast snapshot of
 //    the minimal channel's remote contention past a combined threshold;
 //    candidate scoring adds the snapshot term (candidate_bias), and the
-//    snapshot refreshes in the engine's barrier-fenced update window.
+//    snapshot refreshes in the engine's barrier-fenced update window, where
+//    the optional broadcast-overhead monitor samples the same counters.
 #pragma once
 
-#include "core/ectn_state.hpp"
+#include <cstdint>
+#include <vector>
+
+#include "routing/ectn_state.hpp"
 #include "routing/mechanism.hpp"
 
 namespace dfsim::routing {
@@ -86,6 +90,13 @@ class EctnMechanism final : public TransitMechanism {
   [[nodiscard]] bool update_due(Cycle now) const override;
   void update(Cycle now, std::int32_t shard, RouterId r_lo,
               RouterId r_hi) override;
+  /// Not shard-safe (the monitor's totals are global): the engine refuses
+  /// it with engine.threads > 1.
+  void enable_ectn_monitor(std::int32_t async_mult,
+                           std::int32_t urgent_delta) override;
+  [[nodiscard]] const EctnOverheadMonitor& ectn_monitor() const override {
+    return monitor_;
+  }
   [[nodiscard]] MemoryReport memory_report() const override;
 
  private:
@@ -93,6 +104,9 @@ class EctnMechanism final : public TransitMechanism {
       RouterId r, const NonminCandidate& c) const override;
 
   EctnSnapshot ectn_;
+  bool monitor_on_ = false;
+  EctnOverheadMonitor monitor_;
+  std::vector<std::int16_t> monitor_values_;  // one router's slots
 };
 
 }  // namespace dfsim::routing

@@ -3,7 +3,7 @@
 // group, so all group members know the contention of every global channel and
 // can misroute — and pick an alternative channel — at injection time.
 //
-// This header holds (a) the per-group snapshot the simulator consults, (b)
+// This header holds (a) the per-group snapshot ECtN routing consults, (b)
 // the analytic broadcast-overhead estimate the paper derives (~6 phits per
 // 100-cycle update at Table I scale), and (c) the on-line overhead monitor
 // that measures what the alternative encodings the paper sketches would cost
@@ -33,7 +33,7 @@ namespace dfsim {
 // Snapshot consulted by injection decisions.
 
 /// Per-group copy of all a*h global-channel counters, refreshed every
-/// `ectn_update_period` cycles by the simulator.
+/// `ectn_update_period` cycles by EctnMechanism::update.
 class EctnSnapshot {
  public:
   void resize(std::int32_t groups, std::int32_t channels_per_group) {
@@ -102,8 +102,8 @@ struct EctnOverheadReport {
 };
 
 /// Samples one router's h global counters at every update period and
-/// accumulates what each encoding would have sent. Owned by the simulator;
-/// see Simulator::enable_ectn_monitor.
+/// accumulates what each encoding would have sent. Owned by EctnMechanism,
+/// which samples it in its update window; see Simulator::enable_ectn_monitor.
 class EctnOverheadMonitor {
  public:
   void configure(std::int32_t routers, std::int32_t counters_per_router,

@@ -1,6 +1,7 @@
 #include "routing/mechanism.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dfsim::routing {
 
@@ -49,6 +50,16 @@ MemoryReport RoutingMechanism::memory_report() const {
 bool RoutingMechanism::update_due(Cycle) const { return false; }
 
 void RoutingMechanism::update(Cycle, std::int32_t, RouterId, RouterId) {}
+
+void RoutingMechanism::enable_ectn_monitor(std::int32_t, std::int32_t) {
+  throw std::invalid_argument(
+      "the ECtN overhead monitor samples the ECtN broadcast: it needs "
+      "routing.kind = ECtN");
+}
+
+const EctnOverheadMonitor& RoutingMechanism::ectn_monitor() const {
+  throw std::logic_error("no ECtN overhead monitor: routing is not ECtN");
+}
 
 std::int64_t RoutingMechanism::candidate_bias(RouterId,
                                               const NonminCandidate&) const {

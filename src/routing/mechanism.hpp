@@ -22,8 +22,8 @@
 //    serves the live value for owned routers and the cycle-start snapshot
 //    for remote ones; mechanisms never touch engine queue state directly.
 //  - The shared contention counters are owned HERE (every mechanism carries
-//    them: telemetry gauges and the ECtN overhead monitor read them even
-//    under MIN), maintained by the engine's head/tail hooks.
+//    them: telemetry gauges read them even under MIN), maintained by the
+//    engine's head/tail hooks.
 //
 // Decision flow per packet:
 //  - decide_injection: once, when an unrouted packet becomes head of an
@@ -39,14 +39,18 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/contention_counters.hpp"
-#include "core/triggers.hpp"
+#include "routing/contention_counters.hpp"
+#include "routing/triggers.hpp"
 #include "sim/config.hpp"
 #include "telemetry/telemetry_sink.hpp"
 #include "topo/topology.hpp"
 #include "util/memory_report.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
+
+namespace dfsim {
+class EctnOverheadMonitor;
+}  // namespace dfsim
 
 namespace dfsim::routing {
 
@@ -157,6 +161,15 @@ class RoutingMechanism {
   [[nodiscard]] virtual bool update_due(Cycle now) const;
   virtual void update(Cycle now, std::int32_t shard, RouterId r_lo,
                       RouterId r_hi);
+
+  // --- ECtN broadcast-overhead monitor (Section VI-B ablation): only the
+  // ECtN mechanism keeps one, sampled inside its update window
+  /// Starts measuring; throws std::invalid_argument under any mechanism
+  /// but ECtN.
+  virtual void enable_ectn_monitor(std::int32_t async_mult,
+                                   std::int32_t urgent_delta);
+  /// The monitor; throws std::logic_error under any mechanism but ECtN.
+  [[nodiscard]] virtual const EctnOverheadMonitor& ectn_monitor() const;
 
   // --- accounting
   /// Bytes of mechanism state: the contention counters, plus whatever a

@@ -1,10 +1,12 @@
-// Engine phase profiler: wall-time accounting per step() phase, driving
-// `dfsim_run perf --phases` and the BENCH_engine.json phase breakdown (the
-// sharding work's baseline: which phase actually burns the cycles).
+// Engine phase profiler: wall-time accounting per phase of the engine's
+// cycle body, driving `dfsim_run perf --phases` and the BENCH_engine.json
+// phase breakdown (which phase actually burns the cycles, and — sharded —
+// how long each shard waits for the others).
 //
 // API-enabled only (Simulator::enable_phase_profiler) — it measures wall
-// time, so it has no config key and never enters the config hash. When not
-// enabled the engine runs its unprofiled step() and takes zero timing calls.
+// time, so it has no config key and never enters the config hash. Each
+// shard keeps its own profiler; while profiling is off the cycle body takes
+// only predicted-false branches and reads no clock.
 #pragma once
 
 #include <chrono>
@@ -13,14 +15,16 @@
 namespace dfsim::telemetry {
 
 enum class Phase : std::uint8_t {
-  kFaults = 0,     // advance_faults (fault schedule refresh)
+  kFaults = 0,     // fault schedule refresh + purge of dead links' rings
   kDeliver = 1,    // deliver_arrivals
   kInject = 2,     // inject_traffic
-  kEctn = 3,       // update_ectn (snapshot broadcast)
+  kEctn = 3,       // mechanism update window (any mechanism's update())
   kRoute = 4,      // route_and_allocate
-  kTelemetry = 5,  // telemetry flush (sink gauge scan + frame commit)
+  kTelemetry = 5,  // end of cycle: telemetry flush, next-cycle schedule
+  kMerge = 6,      // cross-shard inbox merge (sharded only)
+  kBarrier = 7,    // every barrier wait of the cycle (sharded only)
 };
-inline constexpr std::int32_t kPhaseCount = 6;
+inline constexpr std::int32_t kPhaseCount = 8;
 
 [[nodiscard]] constexpr const char* to_string(Phase phase) {
   switch (phase) {
@@ -30,6 +34,8 @@ inline constexpr std::int32_t kPhaseCount = 6;
     case Phase::kEctn: return "ectn";
     case Phase::kRoute: return "route";
     case Phase::kTelemetry: return "telemetry";
+    case Phase::kMerge: return "merge";
+    case Phase::kBarrier: return "barrier";
   }
   return "unknown";
 }
@@ -43,12 +49,19 @@ class PhaseProfiler {
     cycles_ = 0;
   }
 
-  void add(Phase phase, Clock::time_point begin, Clock::time_point end) {
-    ns_[static_cast<std::size_t>(phase)] +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-            .count();
+  /// Starts a run of `cycles` cycles: counts them and stamps the clock.
+  void begin(std::int64_t cycles) {
+    cycles_ += cycles;
+    last_ = Clock::now();
   }
-  void add_cycle() { ++cycles_; }
+  /// Charges the time since the last stamp to `phase`, then restamps.
+  void lap(Phase phase) {
+    const Clock::time_point now = Clock::now();
+    ns_[static_cast<std::size_t>(phase)] +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_)
+            .count();
+    last_ = now;
+  }
 
   [[nodiscard]] std::int64_t cycles() const { return cycles_; }
   [[nodiscard]] std::int64_t nanoseconds(Phase phase) const {
@@ -66,6 +79,7 @@ class PhaseProfiler {
  private:
   std::int64_t ns_[kPhaseCount] = {};
   std::int64_t cycles_ = 0;
+  Clock::time_point last_{};
 };
 
 }  // namespace dfsim::telemetry

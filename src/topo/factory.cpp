@@ -1,7 +1,7 @@
 #include "topo/factory.hpp"
 
-#include "fbfly/fb_topology.hpp"
 #include "topo/dragonfly.hpp"
+#include "topo/fb_topology.hpp"
 #include "topo/torus.hpp"
 
 namespace dfsim {

@@ -1,5 +1,6 @@
 // Observability-layer tests: zero-overhead identity (telemetry/tracing/
-// profiling compiled in but enabled must not change a single result bit),
+// profiling compiled in but enabled must not change a single result bit;
+// profiling serial and sharded), the ECtN overhead monitor's preconditions,
 // zero allocation after warmup with the sink live, deterministic trace
 // sampling with binary and Chrome-JSON round-trips, heatmap counter
 // conservation against the engine's lifetime totals, and config-hash gating
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "sim/config_io.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/packet_trace.hpp"
+#include "telemetry/phase_profiler.hpp"
 #include "telemetry/telemetry_sink.hpp"
 
 namespace {
@@ -66,6 +69,51 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   assert(a.totals.undeliverable == b.totals.undeliverable);
 }
 
+// Profiled stepping is a wall-clock overlay on the same cycle body at every
+// shard count: results and the delivery log stay bit-identical, every
+// shard's profiler counts every cycle, and only a sharded profile holds
+// inbox-merge and barrier-wait time.
+void expect_profiled_identical(const SimParams& p) {
+  Simulator plain(p);
+  Simulator profiled(p);
+  profiled.enable_phase_profiler();
+  for (Simulator* sim : {&plain, &profiled}) {
+    sim->enable_delivery_log();
+    sim->run(800);
+    sim->begin_measurement();
+    sim->run(1200);
+  }
+  expect_identical({plain.metrics(), plain.lifetime_totals()},
+                   {profiled.metrics(), profiled.lifetime_totals()});
+  const std::vector<Simulator::Delivery>& a = plain.delivery_log();
+  const std::vector<Simulator::Delivery>& b = profiled.delivery_log();
+  assert(!a.empty() && a.size() == b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    assert(a[i].birth == b[i].birth && a[i].latency == b[i].latency);
+    assert(a[i].misrouted == b[i].misrouted);
+    assert(a[i].minimal_path == b[i].minimal_path);
+  }
+
+  const std::int32_t threads = p.engine.threads;
+  assert(profiled.shard_count() == threads);
+  using telemetry::Phase;
+  for (std::int32_t s = 0; s < threads; ++s) {
+    const telemetry::PhaseProfiler& prof = profiled.phase_profiler(s);
+    assert(prof.cycles() == 2000);
+    assert(prof.total_seconds() > 0.0);
+    if (threads == 1) {
+      assert(prof.nanoseconds(Phase::kMerge) == 0);
+      assert(prof.nanoseconds(Phase::kBarrier) == 0);
+    } else {
+      assert(prof.nanoseconds(Phase::kBarrier) > 0);
+    }
+    if (p.fault.enabled) assert(prof.nanoseconds(Phase::kFaults) > 0);
+    if (p.routing.kind == RoutingKind::kCbEctn) {
+      assert(prof.nanoseconds(Phase::kEctn) > 0);
+    }
+  }
+}
+
 // Telemetry, tracing, and profiling each enabled on top of the same run must
 // reproduce the plain run bit-exactly: their hooks never touch the routing
 // RNG or any simulation state.
@@ -90,18 +138,45 @@ void test_zero_overhead_identity() {
   with_both.trace.sample_rate = 0.25;
   expect_identical(reference, run_point(with_both));
 
-  // Profiled stepping is a wall-clock overlay on the same phase sequence.
-  {
-    Simulator sim(plain);
-    sim.enable_phase_profiler();
-    sim.run(800);
-    sim.begin_measurement();
-    sim.run(1200);
-    expect_identical(reference, {sim.metrics(), sim.lifetime_totals()});
-    assert(sim.phase_profiler().cycles() == 2000);
-    assert(sim.phase_profiler().total_seconds() > 0.0);
+  for (const std::int32_t threads : {1, 3}) {
+    SimParams p = plain;
+    p.engine.threads = threads;
+    expect_profiled_identical(p);
   }
+  // Sharded and profiled through fault events and ECtN update windows.
+  SimParams eventful = plain;
+  eventful.engine.threads = 3;
+  eventful.routing.kind = RoutingKind::kCbEctn;
+  eventful.fault.enabled = true;
+  eventful.fault.link_fail_fraction = 0.15;
+  eventful.fault.onset = 200;
+  eventful.fault.flap_period = 120;
+  eventful.fault.flap_down = 40;
+  expect_profiled_identical(eventful);
   std::cout << "zero-overhead identity ok\n";
+}
+
+// The ECtN overhead monitor samples the ECtN broadcast inside the
+// mechanism's update window: any other mechanism refuses it, and so does a
+// sharded engine (its totals are not sharded).
+void test_ectn_monitor_needs_ectn() {
+  const auto refuses = [](const SimParams& p) {
+    Simulator sim(p);
+    try {
+      sim.enable_ectn_monitor(4, 4);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  SimParams p = base_params();
+  assert(p.routing.kind != RoutingKind::kCbEctn);
+  assert(refuses(p));
+  p.routing.kind = RoutingKind::kCbEctn;
+  assert(!refuses(p));
+  p.engine.threads = 2;
+  assert(refuses(p));
+  std::cout << "ECtN monitor needs ECtN ok\n";
 }
 
 // The zero-alloc-after-warmup invariant must hold WITH the observability
@@ -329,6 +404,7 @@ void test_trace_rejects_wide_router_ids() {
 
 int main() {
   test_zero_overhead_identity();
+  test_ectn_monitor_needs_ectn();
   test_trace_rejects_wide_router_ids();
   test_zero_alloc_with_telemetry();
   test_config_hash_gating();

@@ -9,8 +9,8 @@
 #include <set>
 #include <vector>
 
-#include "fbfly/fb_topology.hpp"
 #include "topo/dragonfly.hpp"
+#include "topo/fb_topology.hpp"
 #include "topo/torus.hpp"
 #include "util/fast_div.hpp"
 

@@ -68,16 +68,14 @@ ALL_CHECKS = ("CHK-RNG", "CHK-GATE", "CHK-ALLOC", "CHK-CONFIG", "CHK-SCHEMA",
 # --- CHK-RNG configuration ---------------------------------------------------
 
 # Directory (under src/) -> RNG stream its draw sites must belong to.
-# engine/routing/topo/fbfly/router/core draw from the simulator's routing
-# stream (mechanisms and triggers receive it by reference); traffic, fault
-# and trace own theirs.
+# engine/routing/topo/router draw from the simulator's routing stream
+# (mechanisms and triggers receive it by reference); traffic, fault and
+# trace own theirs.
 STREAM_OF_DIR = {
     "engine": "routing",
     "routing": "routing",
     "topo": "routing",
-    "fbfly": "routing",
     "router": "routing",
-    "core": "routing",
     "traffic": "traffic",
     "fault": "fault",
     "telemetry": "trace",
@@ -101,10 +99,10 @@ CALL_KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof", "assert",
 GATED_MEMBERS = {
     "sink_": ("telemetry_on_", "params_.telemetry.enabled"),
     "tracer_": ("trace_on_", "params_.trace.enabled"),
-    "profiler_": ("profile_on_", "profile_on_"),
+    # The per-shard phase profiler (Shard::profiler, e.g. `sh.profiler.`).
+    "profiler": ("profile_on_", "profile_on_"),
     "health_": ("fault_on_", "params_.fault.enabled"),
     "fault_": ("fault_on_", "params_.fault.enabled"),
-    "ectn_monitor_": ("ectn_monitor_enabled_", "ectn_monitor_enabled_"),
 }
 GATE_ENTRY_POINT = "Simulator::step"
 GATE_FILES = ("src/engine/simulator.cpp", "src/engine/simulator.hpp")

@@ -578,19 +578,12 @@ int cmd_perf(const CliOptions& cli) {
     }
   }
   // --phases folds the engine's per-phase wall-time accounting into each
-  // point. The profiler's clock reads add overhead, so phase-profiled
-  // cycles/sec are not comparable with unprofiled baselines — flagged in
-  // the document and excluded from the regression check.
+  // point (shard 0's as phase_seconds; sharded points add every shard's as
+  // phase_seconds_by_shard, barrier and merge included). The profiler's
+  // clock reads add overhead, so phase-profiled cycles/sec are not
+  // comparable with unprofiled baselines — flagged in the document and
+  // excluded from the regression check.
   const bool phases = cli.has("phases");
-  if (phases) {
-    for (const std::int32_t t : thread_counts) {
-      if (t != 1) {
-        throw std::invalid_argument(
-            "perf: --phases requires --engine-threads=1 (the phase "
-            "profiler is serial-only)");
-      }
-    }
-  }
 
   Json points = Json::array();
   double max_rss = 0.0;
@@ -654,21 +647,30 @@ int cmd_perf(const CliOptions& cli) {
         pt.set("memory_detail_mb", std::move(detail));
       }
       if (phases) {
-        const telemetry::PhaseProfiler& prof = sim.phase_profiler();
-        Json breakdown = Json::object();
-        for (std::int32_t ph = 0; ph < telemetry::kPhaseCount; ++ph) {
-          const auto phase = static_cast<telemetry::Phase>(ph);
-          const double s = prof.seconds(phase);
-          breakdown.set(telemetry::to_string(phase), s);
-          std::cerr << "  phase " << telemetry::to_string(phase) << ": "
-                    << format_fixed(s * 1e3, 2) << " ms ("
-                    << format_fixed(prof.total_seconds() > 0.0
-                                        ? 100.0 * s / prof.total_seconds()
-                                        : 0.0,
-                                    1)
-                    << "%)\n";
+        Json by_shard = Json::array();
+        for (std::int32_t shard = 0; shard < sim.shard_count(); ++shard) {
+          const telemetry::PhaseProfiler& prof = sim.phase_profiler(shard);
+          Json breakdown = Json::object();
+          for (std::int32_t ph = 0; ph < telemetry::kPhaseCount; ++ph) {
+            const auto phase = static_cast<telemetry::Phase>(ph);
+            const double s = prof.seconds(phase);
+            breakdown.set(telemetry::to_string(phase), s);
+            std::cerr << "  ";
+            if (sim.shard_count() > 1) std::cerr << "shard " << shard << " ";
+            std::cerr << "phase " << telemetry::to_string(phase) << ": "
+                      << format_fixed(s * 1e3, 2) << " ms ("
+                      << format_fixed(prof.total_seconds() > 0.0
+                                          ? 100.0 * s / prof.total_seconds()
+                                          : 0.0,
+                                      1)
+                      << "%)\n";
+          }
+          if (shard == 0) pt.set("phase_seconds", breakdown);
+          by_shard.push_back(std::move(breakdown));
         }
-        pt.set("phase_seconds", std::move(breakdown));
+        if (sim.shard_count() > 1) {
+          pt.set("phase_seconds_by_shard", std::move(by_shard));
+        }
       }
       points.push_back(std::move(pt));
       }
