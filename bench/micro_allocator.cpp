@@ -27,7 +27,8 @@ void BM_AllocatorIteration(benchmark::State& state) {
   }
   std::int64_t grants = 0;
   for (auto _ : state) {
-    const auto g = alloc.allocate_iteration(requests);
+    alloc.begin_cycle();
+    const auto g = alloc.iterate(requests);
     grants += static_cast<std::int64_t>(g.size());
     benchmark::DoNotOptimize(grants);
   }

@@ -2,10 +2,6 @@
 # Emits the committed perf-trajectory artifacts:
 #   BENCH_micro.json     — combined google-benchmark JSON for the micro
 #                          regression gates (counters, allocator, topology);
-#   BENCH_workloads.json — the ablation_workloads registry experiment at
-#                          tiny scale as a schema-versioned dfsim-results
-#                          document (emitted by dfsim_run, rev-stripped so
-#                          re-running on an unchanged tree is a no-op diff);
 #   BENCH_engine.json    — raw engine stepping throughput (cycles/sec per
 #                          scale x load x engine.threads shard count,
 #                          dfsim_run perf). When the output file already
@@ -18,7 +14,7 @@
 #                          shows a flat profile by construction).
 #
 # Usage: scripts/bench_baseline.sh [--engine] [build-dir] [micro-out]
-#                                  [workloads-out] [engine-out]
+#                                  [engine-out]
 #   --engine   emit only BENCH_engine.json (the CI perf-smoke job)
 set -euo pipefail
 
@@ -30,8 +26,7 @@ fi
 
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_micro.json}"
-WORKLOADS_OUT="${3:-BENCH_workloads.json}"
-ENGINE_OUT="${4:-BENCH_engine.json}"
+ENGINE_OUT="${3:-BENCH_engine.json}"
 MIN_TIME="${DFSIM_BENCH_MIN_TIME:-0.2}"
 
 if [[ ! -d "$BUILD_DIR" ]]; then
@@ -102,12 +97,5 @@ with open(out, "w") as f:
     json.dump(merged, f, indent=1)
 print(f"wrote {out}")
 EOF
-
-# Workload baseline through the experiment registry: structured JSON with
-# config hash + full metric set, diffable across commits.
-"$BUILD_DIR/dfsim_run" run --experiments=ablation_workloads --scale=tiny \
-  --warmup=500 --measure=1000 --quiet --strip-rev --out="$tmpdir/workloads"
-cp "$tmpdir/workloads/ablation_workloads.json" "$WORKLOADS_OUT"
-echo "wrote $WORKLOADS_OUT"
 
 emit_engine

@@ -27,8 +27,7 @@ note() { summary+=("$1"); echo "== $1"; }
 CDB="$BUILD_DIR/compile_commands.json"
 if [ ! -f "$CDB" ]; then
   echo "== compile_commands.json missing: configuring $BUILD_DIR"
-  if ! cmake -S "$REPO" -B "$BUILD_DIR" -DDFSIM_FETCH_BENCHMARK=OFF \
-       > /dev/null 2>&1; then
+  if ! cmake -S "$REPO" -B "$BUILD_DIR" > /dev/null 2>&1; then
     echo "   (cmake configure failed; tool runs that need the database"
     echo "    will be skipped)"
   fi

@@ -33,7 +33,8 @@ namespace dfsim {
 
 /// Fixed-size array of trivial T in a private anonymous mapping: untouched
 /// pages cost address space only, and the whole mapping returns to the
-/// system on destruction.
+/// system on destruction. Holds the packet records, the id free lists and
+/// the engine's queue slab and link rings; none is read before written.
 template <class T>
 class LazyArray {
  public:
@@ -60,6 +61,7 @@ class LazyArray {
 
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
+  [[nodiscard]] std::size_t size() const { return bytes_ / sizeof(T); }
 
  private:
   T* data_ = nullptr;

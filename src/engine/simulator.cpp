@@ -221,7 +221,7 @@ void Simulator::build_layout() {
       offset += cap;
     }
   }
-  slab_.assign(static_cast<std::size_t>(offset), kInvalidPacket);
+  slab_ = LazyArray<std::int32_t>(static_cast<std::size_t>(offset));
 
   // Output-side tables: each forward output's link (downstream queue block,
   // delay, in-flight ring), and the upstream credit slot of every queue
@@ -259,16 +259,7 @@ void Simulator::build_layout() {
           credit_slot(r, ip, 0);
     }
   }
-  ring_slab_.assign(static_cast<std::size_t>(ring_total), LinkEvent{});
-
-  // Allocators.
-  allocators_.reserve(static_cast<std::size_t>(routers));
-  for (RouterId r = 0; r < routers; ++r) {
-    allocators_.emplace_back(radix_, radix_, vmax_);
-    if (params_.router.through_priority) {
-      allocators_.back().set_through_priority(fwd_);
-    }
-  }
+  ring_slab_ = LazyArray<LinkEvent>(static_cast<std::size_t>(ring_total));
 
   // Active-set masks: all queues empty at construction. The router summary
   // masks are per shard (build_shards).
@@ -330,6 +321,8 @@ void Simulator::build_shards() {
         shard_of_router_[static_cast<std::size_t>(r)] = i;
       }
     }
+    sh.alloc = SeparableAllocator(radix_, radix_, vmax_, r_hi - r_lo);
+    if (params_.router.through_priority) sh.alloc.set_through_priority(fwd_);
     sh.request_batch.reserve(radix_, vmax_);
     sh.router_active.assign(
         static_cast<std::size_t>((r_hi - r_lo + 63) / 64), 0);
@@ -808,13 +801,11 @@ void Simulator::inject_traffic(Shard& sh) {
   Injection inj;
   while (traffic.next(inj)) {
     ++sh.metrics.generated;
-    ++sh.totals.generated;
 
     const RouterId r = topo_.router_of_node(inj.src);
     if (throttle_on_ && !routing_->admit_injection(now_, r, inj.dst)) {
       // Source throttle (ARN variant): same accounting as a full queue.
       ++sh.metrics.refused;
-      ++sh.totals.refused;
       if (telemetry_on_) sink_.count_refusal(r);
       continue;
     }
@@ -823,7 +814,6 @@ void Simulator::inject_traffic(Shard& sh) {
     const std::int32_t q = queue_index(r, ip, 0);
     if (credit_[static_cast<std::size_t>(q)] <= 0) {
       ++sh.metrics.refused;
-      ++sh.totals.refused;
       if (telemetry_on_) sink_.count_refusal(r);
       continue;
     }
@@ -835,7 +825,6 @@ void Simulator::inject_traffic(Shard& sh) {
       // every slot. Deterministic back-pressure, same accounting as a full
       // queue.
       ++sh.metrics.refused;
-      ++sh.totals.refused;
       continue;
     }
     pool_.reset_packet(packet, inj.src, inj.dst, now_);
@@ -875,11 +864,11 @@ void Simulator::route_and_allocate(Shard& sh) {
 
   // Staged lookahead over the router list, one dependent load per stage,
   // for every occupied queue: the router's queue-occupancy words
-  // kWordsAhead routers ahead; the queue records and the allocator object
-  // kQueuesAhead ahead; the head's slab slot, its contention counter and
-  // the requested output's record and credits kHeadsAhead ahead; the
-  // allocator's state, the packets a departure would touch (the head and
-  // the next head) and the ring slot it would fill kPacketsAhead ahead. A
+  // kWordsAhead routers ahead; the queue records kQueuesAhead ahead; the
+  // head's slab slot, its contention counter and the requested output's
+  // record and credits kHeadsAhead ahead; the router's round-robin
+  // pointers, the packets a departure would touch (the head and the next
+  // head) and the ring slot it would fill kPacketsAhead ahead. A
   // router's queues change only while it is processed, so each stage reads
   // what the previous stage fetched.
   constexpr std::size_t kWordsAhead = 4;
@@ -910,8 +899,6 @@ void Simulator::route_and_allocate(Shard& sh) {
     if (i + kQueuesAhead < n) {
       const RouterId ra = routers[i + kQueuesAhead];
       for_each_active(ra, [](const QueueRec& qr) { prefetch(&qr); });
-      prefetch_span(&allocators_[static_cast<std::size_t>(ra)],
-                    sizeof(SeparableAllocator));
     }
     if (i + kHeadsAhead < n) {
       const RouterId ra = routers[i + kHeadsAhead];
@@ -926,7 +913,7 @@ void Simulator::route_and_allocate(Shard& sh) {
     }
     if (i + kPacketsAhead < n) {
       const RouterId ra = routers[i + kPacketsAhead];
-      allocators_[static_cast<std::size_t>(ra)].prefetch_state();
+      sh.alloc.prefetch_router(ra - sh.r_lo);
       for_each_active(ra, [&](const QueueRec& qr) {
         prefetch(&pool_[slab_[static_cast<std::size_t>(qr.offset + qr.head)]]);
         if (qr.size > 1) {
@@ -1002,8 +989,8 @@ void Simulator::route_and_allocate(Shard& sh) {
     }
     if (sh.request_batch.empty()) continue;
 
-    SeparableAllocator& alloc = allocators_[static_cast<std::size_t>(r)];
-    alloc.begin_cycle();
+    SeparableAllocator& alloc = sh.alloc;
+    alloc.begin_cycle(r - sh.r_lo);
     for (std::int32_t it = 0; it < params_.router.speedup; ++it) {
       if (alloc.iterate(sh.request_batch).empty() && it > 0) break;
     }
@@ -1038,7 +1025,6 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
       // Livelock guard: rerouted around faults past any plausible path
       // length; drop rather than circulate forever.
       ++sh.metrics.undeliverable;
-      ++sh.totals.undeliverable;
       if (telemetry_on_) sink_.count_undeliverable();
       if (trace_on_) {
         tracer_.close(now_, packet, r, telemetry::TraceEvent::kDrop);
@@ -1096,7 +1082,6 @@ void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
   const bool mis_local = (flags & PacketPool::kMisLocal) != 0;
 
   ++sh.metrics.delivered;
-  ++sh.totals.delivered;
   sh.metrics.delivered_phits += psize_;
   sh.metrics.latency_sum += static_cast<double>(latency);
   sh.metrics.latency_hist.add(latency);
@@ -1168,7 +1153,6 @@ void Simulator::purge_faulted_rings(Shard& sh) {
         push_msg(sh, owner, m);
       }
       ++sh.metrics.dropped;
-      ++sh.totals.dropped;
       if (telemetry_on_) sink_.count_drop();
       if (trace_on_) {
         tracer_.close(now_, ev.packet,
@@ -1415,6 +1399,7 @@ void Simulator::flush_telemetry() {
 // Measurement & merged views
 
 void Simulator::begin_measurement() {
+  before_ = lifetime_totals();
   for (Shard& sh : shards_) sh.metrics = Metrics{};
   measure_start_ = now_;
 }
@@ -1441,15 +1426,13 @@ const Simulator::Metrics& Simulator::metrics() const {
 }
 
 const Simulator::Totals& Simulator::lifetime_totals() const {
-  if (n_shards_ == 1) return shards_[0].totals;
-  merged_totals_ = Totals{};
-  for (const Shard& sh : shards_) {
-    merged_totals_.generated += sh.totals.generated;
-    merged_totals_.refused += sh.totals.refused;
-    merged_totals_.delivered += sh.totals.delivered;
-    merged_totals_.dropped += sh.totals.dropped;
-    merged_totals_.undeliverable += sh.totals.undeliverable;
-  }
+  const Metrics& m = metrics();
+  merged_totals_ = before_;
+  merged_totals_.generated += m.generated;
+  merged_totals_.refused += m.refused;
+  merged_totals_.delivered += m.delivered;
+  merged_totals_.dropped += m.dropped;
+  merged_totals_.undeliverable += m.undeliverable;
   return merged_totals_;
 }
 
@@ -1547,14 +1530,9 @@ MemoryReport Simulator::memory_report() const {
   report.merge("topology", topo_.memory_report());
   report.add("engine.queues", bytes(q_) + bytes(port_cap_) + bytes(port_vcs_));
   report.add("engine.credits", bytes(credit_) + bytes(up_credit_));
-  report.add("engine.queue_slab", slab_);
+  report.add("engine.queue_slab", slab_.size() * sizeof(std::int32_t));
   report.add("engine.outputs", out_);
-  report.add("engine.link_rings", ring_slab_);
-  std::size_t allocator_bytes = bytes(allocators_);
-  for (const SeparableAllocator& a : allocators_) {
-    allocator_bytes += a.heap_bytes();
-  }
-  report.add("engine.allocators", allocator_bytes);
+  report.add("engine.link_rings", ring_slab_.size() * sizeof(LinkEvent));
   report.add("engine.active_sets", queue_active_);
   report.add("engine.shard_tables",
              bytes(shard_of_router_) + bytes(credit_owner_) +
@@ -1563,6 +1541,7 @@ MemoryReport Simulator::memory_report() const {
   report.merge("pool", pool_.memory_report(pool_high_water()));
   for (const Shard& sh : shards_) {
     const std::string name = "shard" + std::to_string(sh.index);
+    report.add(name + ".allocator", sh.alloc.heap_bytes());
     report.add(name + ".link_wheel", bytes(sh.wheel) + bytes(sh.due));
     std::size_t outbox_bytes = bytes(sh.outbox);
     for (const auto& box : sh.outbox) outbox_bytes += bytes(box);

@@ -36,46 +36,44 @@
 // `allocation_events()` exposes every growth event so tests can verify this.
 //
 // Active-set stepping: the per-cycle phases iterate only non-empty state.
-// Occupied queues are tracked as per-router bitmask words plus a router
-// summary mask (set in push_queue, cleared when a queue drains), so
-// route_and_allocate costs O(active queues) instead of
-// O(routers * radix * vcs); links with packets in flight sit in a timing
-// wheel bucketed by their front arrival, so deliver_arrivals costs
-// O(due links * log due links) instead of a full link scan. Both structures
-// are exact mirrors of the dense state (debug_check_active_state()
-// cross-checks them against a brute-force scan) and preserve the dense
-// scan's iteration order — bit scans walk queues in ascending (port, vc)
-// order and the due bucket is sorted into ascending link order — which
-// keeps every RNG draw site in the original sequence. Refactors of this
-// file must keep the 18 goldens in tests/test_engine_equivalence.cpp
-// bit-exact (see ARCHITECTURE.md, "Bit-exactness rule").
+// Occupied queues are per-router bitmask words plus a router summary mask
+// (maintained by push_queue/pop_queue), so route_and_allocate costs
+// O(active queues); links with packets in flight sit in a timing wheel
+// bucketed by their front arrival, so deliver_arrivals costs O(due links *
+// log due links). Both mirror the dense state exactly
+// (debug_check_active_state() cross-checks them) and keep the dense scan's
+// order — queues in ascending (port, vc) bit order, the due bucket sorted by
+// link — so every RNG draw happens in the original sequence. Refactors must
+// keep the 18 goldens in tests/test_engine_equivalence.cpp bit-exact
+// (ARCHITECTURE.md, "Bit-exactness rule").
 //
 // Cache layout: a hop touches a few router-local lines. A queue's hot
 // fields are one 16-byte record; an output's state (busy time, link, ring
 // bookkeeping, wheel chain) is one 32-byte record; a packet is one 32-byte
-// record; and the credits an output spends sit in its own router's credit
-// block. Both per-cycle walks (the sorted due links in deliver_arrivals,
-// the active routers in route_and_allocate) prefetch the records of the
-// entries a fixed distance ahead.
+// record; the credits an output spends sit in its own router's credit
+// block; and the allocator's only per-router state is the router's
+// round-robin pointers, its scratch being shared by the shard. Both
+// per-cycle walks (the sorted due links in deliver_arrivals, the active
+// routers in route_and_allocate) prefetch the records of the entries a
+// fixed distance ahead. The queue slab and link rings, like the packet
+// pool, are lazily committed mappings (LazyArray).
 //
-// Sharded execution (engine.threads > 1): the router range is partitioned
-// into contiguous shards, one barrier-synced worker thread per shard (the
+// Sharded execution (engine.threads > 1): the routers are partitioned into
+// contiguous shards, one barrier-synced worker thread per shard (the
 // calling thread drives shard 0). Each shard owns its routers' queues,
-// output credits, allocators, contention counters, its slice of the
-// occupancy bitmasks, its timing wheel, a private RNG stream, a private
-// traffic-model instance restricted to the shard's terminals, and private
-// metrics. State that crosses a shard boundary — a packet departing onto a
-// link whose downstream router lives elsewhere, a credit return to an
-// upstream shard, a packet id going home to its allocating shard — travels
-// through per-shard outboxes applied at the next cycle's merge point in
-// fixed (source shard, FIFO) order, so results are a pure function of
-// (params, seed, engine.threads). Every shard count runs the same cycle
-// body (cycle()); with one shard its barriers and merge are no-ops, so
-// threads = 1 stays bit-exact with the goldens; threads > 1 is deterministic
-// per shard count but intentionally NOT bit-exact across shard counts
-// (cross-shard credits land one cycle late, remote occupancy probes read a
-// cycle-start snapshot, and each shard draws from its own RNG stream). See ARCHITECTURE.md,
-// "Sharded execution".
+// output credits and contention counters, one switch allocator, its slice
+// of the occupancy bitmasks, its timing wheel, a private RNG stream and
+// traffic-model instance, and private metrics. State that crosses a shard
+// boundary — a departure onto a link owned downstream, a credit return to
+// an upstream shard, a packet id going home — travels through per-shard
+// outboxes applied at the next cycle's merge point in fixed (source shard,
+// FIFO) order, so results are a pure function of (params, seed,
+// engine.threads). Every shard count runs the same cycle body (cycle());
+// with one shard its barriers and merge are no-ops, so threads = 1 stays
+// bit-exact with the goldens. Sharded runs are deterministic per shard
+// count but not bit-exact across shard counts (cross-shard credits land a
+// cycle late, remote probes read a cycle-start snapshot, each shard has its
+// own RNG stream). See ARCHITECTURE.md, "Sharded execution".
 #pragma once
 
 #include <atomic>
@@ -174,7 +172,8 @@ class Simulator : private routing::EngineProbe {
 
   /// Lifetime (never reset) packet accounting for conservation checks:
   /// generated - refused == delivered + dropped + undeliverable +
-  /// packets_in_network() holds at every cycle.
+  /// packets_in_network() holds at every cycle. It is the window's metrics
+  /// plus the counts begin_measurement() folded away.
   struct Totals {
     std::int64_t generated = 0;
     std::int64_t refused = 0;
@@ -282,8 +281,8 @@ class Simulator : private routing::EngineProbe {
   [[nodiscard]] std::int64_t pool_high_water() const;
 
   /// Bytes per subsystem: topology tables, per-queue and per-output
-  /// arrays, queue slab, link rings, allocators, packet pool (committed up
-  /// to its high-water mark), per-shard wheels/outboxes/free lists, the
+  /// arrays, queue slab, link rings, packet pool (committed up to its
+  /// high-water mark), per-shard allocators/wheels/outboxes/free lists, the
   /// routing mechanism, fault overlay and telemetry.
   [[nodiscard]] MemoryReport memory_report() const;
 
@@ -378,7 +377,7 @@ class Simulator : private routing::EngineProbe {
     Rng rng{0};       // routing decisions for owned routers
     std::unique_ptr<TrafficModel> traffic;  // restricted to [n_lo, n_hi)
     Metrics metrics;
-    Totals totals;
+    SeparableAllocator alloc;  // serves [r_lo, r_hi)
     AllocRequestBatch request_batch;  // per-router sparse requests (reused)
     // Router summary mask slice: bit (r - r_lo) of word (r - r_lo) / 64.
     std::vector<std::uint64_t> router_active;
@@ -578,7 +577,7 @@ class Simulator : private routing::EngineProbe {
   // --- per-queue state (size routers * radix * vmax), owned by the
   // queue's router's shard
   std::vector<QueueRec> q_;
-  std::vector<std::int32_t> slab_;       // ring storage for all queues
+  LazyArray<std::int32_t> slab_;  // ring storage for all queues
   // Capacity of a (port, VC) queue at any router, indexed port * vmax + vc,
   // and the VC count of each port's class.
   std::vector<std::int16_t> port_cap_;
@@ -597,9 +596,6 @@ class Simulator : private routing::EngineProbe {
   // output's own
   std::vector<Output> out_;
 
-  // --- routers
-  std::vector<SeparableAllocator> allocators_;
-
   // --- active sets: queue-occupancy bits (bit ip*vmax+vc of router r's
   // word block; ascending-bit iteration == the dense scan order). The
   // router summary mask lives in each shard (Shard::router_active).
@@ -612,7 +608,7 @@ class Simulator : private routing::EngineProbe {
   // (build_layout) to the structural bound; ids come from the shards'
   // IdRanges.
   PacketPool pool_;
-  std::vector<LinkEvent> ring_slab_;
+  LazyArray<LinkEvent> ring_slab_;
   // Timing wheel shape: W = wheel_mask_ + 1 buckets, a power of two above
   // the longest link traversal (fault extra latency included), so every
   // ring front is due within W cycles and a bucket holds one arrival cycle.
@@ -656,7 +652,7 @@ class Simulator : private routing::EngineProbe {
   bool fault_cycle_ = false;
   bool mech_cycle_ = false;
   static std::atomic<std::int32_t> jitter_us_;
-  // Merged-view caches for the const accessors (threads > 1 only).
+  // Merged-view caches for the const accessors.
   mutable Metrics merged_metrics_;
   mutable Totals merged_totals_;
   mutable std::vector<Delivery> merged_deliveries_;
@@ -692,6 +688,7 @@ class Simulator : private routing::EngineProbe {
   // --- time & measurement
   Cycle now_ = 0;
   Cycle measure_start_ = 0;
+  Totals before_;  // lifetime counts before the measurement window
   bool log_deliveries_ = false;
 };
 

@@ -3,6 +3,8 @@
 // come back in input order regardless of scheduling.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "engine/experiment.hpp"
@@ -14,6 +16,13 @@ struct SweepPoint {
   SimParams params;
   SteadyOptions options;
 };
+
+/// Runs task(i) for every i in [0, n) on min(workers, n) threads, the
+/// calling thread included. When a task throws, no further index is handed
+/// out; the workers finish their current task and are joined, and the first
+/// exception is rethrown to the caller.
+void parallel_for(std::size_t n, int workers,
+                  const std::function<void(std::size_t)>& task);
 
 /// Worker count: explicit argument > $DFSIM_THREADS > hardware concurrency,
 /// clamped to the number of points.

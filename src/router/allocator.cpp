@@ -8,8 +8,12 @@ namespace dfsim {
 
 SeparableAllocator::SeparableAllocator(std::int32_t in_ports,
                                        std::int32_t out_ports,
-                                       std::int32_t vcs)
-    : in_ports_(in_ports), out_ports_(out_ports), vcs_(vcs) {
+                                       std::int32_t vcs,
+                                       std::int32_t routers)
+    : in_ports_(in_ports),
+      out_ports_(out_ports),
+      vcs_(vcs),
+      routers_(routers) {
   // Wrap bound for the input round-robin counters: any multiple of
   // lcm(1..vcs) keeps `counter % n` bit-identical to an unbounded counter
   // for all request counts n <= vcs; the lcm itself is the tightest bound.
@@ -26,20 +30,23 @@ SeparableAllocator::SeparableAllocator(std::int32_t in_ports,
   }
   in_rr_wrap_ = l;
 
-  in_rr_.assign(static_cast<std::size_t>(in_ports_), 0);
-  out_rr_.assign(static_cast<std::size_t>(out_ports_), 0);
+  in_rr_.assign(static_cast<std::size_t>(routers_ * in_ports_), 0);
+  out_rr_.assign(static_cast<std::size_t>(routers_ * out_ports_), 0);
   in_busy_.assign(static_cast<std::size_t>(in_ports_), 0);
   out_busy_.assign(static_cast<std::size_t>(out_ports_), 0);
   out_has_candidate_.assign(static_cast<std::size_t>(out_ports_), 0);
   winners_.reserve(static_cast<std::size_t>(in_ports_));
   cand_outs_.reserve(static_cast<std::size_t>(out_ports_));
-  iter_grants_.reserve(static_cast<std::size_t>(
-      std::min(in_ports_, out_ports_)));
+  // A grant keeps its input and output busy until the next begin_cycle(),
+  // so a cycle grants at most min(in, out) times.
   cycle_grants_.reserve(static_cast<std::size_t>(
-      2 * std::min(in_ports_, out_ports_)));
+      std::min(in_ports_, out_ports_)));
 }
 
-void SeparableAllocator::begin_cycle() {
+void SeparableAllocator::begin_cycle(std::int32_t router) {
+  assert(router >= 0 && router < routers_);
+  in_base_ = static_cast<std::size_t>(router * in_ports_);
+  out_base_ = static_cast<std::size_t>(router * out_ports_);
   std::fill(in_busy_.begin(), in_busy_.end(), std::int8_t{0});
   std::fill(out_busy_.begin(), out_busy_.end(), std::int8_t{0});
   cycle_grants_.clear();
@@ -47,7 +54,7 @@ void SeparableAllocator::begin_cycle() {
 
 std::span<const AllocGrant> SeparableAllocator::iterate(
     const AllocRequestBatch& batch) {
-  iter_grants_.clear();
+  const std::size_t first = cycle_grants_.size();  // this iteration's grants
 
   // Stage 1: each free requesting input picks one VC, round-robin from its
   // pointer. Only inputs present in the batch are visited (they arrive in
@@ -58,7 +65,7 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
     if (in_busy_[ini]) continue;
     const std::int32_t n = group.count;
     assert(n <= vcs_);  // the wrap-bound equivalence needs n <= vcs
-    const auto start = static_cast<std::int32_t>(in_rr_[ini] % n);
+    const auto start = static_cast<std::int32_t>(in_rr_[in_base_ + ini] % n);
     for (std::int32_t k = 0; k < n; ++k) {
       const AllocRequest& req =
           reqs[static_cast<std::size_t>(group.begin + (start + k) % n)];
@@ -87,7 +94,8 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
     for (const PortIndex out : cand_outs_) {
       const auto outi = static_cast<std::size_t>(out);
       if (out_busy_[outi]) continue;
-      const std::int32_t start = out_rr_[outi];
+      std::int32_t& out_rr = out_rr_[out_base_ + outi];
+      const std::int32_t start = out_rr;
       std::int32_t best = -1;
       std::int32_t best_key = 0;
       for (std::size_t w = 0; w < winners_.size(); ++w) {
@@ -109,13 +117,14 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
       if (best < 0) continue;
       const AllocGrant& grant = winners_[static_cast<std::size_t>(best)];
       // dfsim-check: allow(CHK-ALLOC): reserved to min(in,out) in the ctor
-      iter_grants_.push_back(grant);
+      cycle_grants_.push_back(grant);
       in_busy_[static_cast<std::size_t>(grant.in)] = 1;
       out_busy_[outi] = 1;
       // Advance round-robin pointers past the winners. out_rr_ is bounded
       // by its modulus here; in_rr_ wraps at lcm(1..vcs) (see in_rr_wrap).
-      out_rr_[outi] = (grant.in + 1) % in_ports_;
-      std::int64_t& rr = in_rr_[static_cast<std::size_t>(grant.in)];
+      out_rr = (grant.in + 1) % in_ports_;
+      std::int64_t& rr =
+          in_rr_[in_base_ + static_cast<std::size_t>(grant.in)];
       rr = (in_rr_wrap_ != 0 && rr + 1 == in_rr_wrap_) ? 0 : rr + 1;
     }
   }
@@ -126,25 +135,14 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
   }
   cand_outs_.clear();
   winners_.clear();
-
-  // dfsim-check: allow(CHK-ALLOC): reserved to 2*min(in,out) in the ctor
-  cycle_grants_.insert(cycle_grants_.end(), iter_grants_.begin(),
-                       iter_grants_.end());
-  return {iter_grants_.data(), iter_grants_.size()};
-}
-
-std::span<const AllocGrant> SeparableAllocator::allocate_iteration(
-    const AllocRequestBatch& batch) {
-  begin_cycle();
-  iterate(batch);
-  return {cycle_grants_.data(), cycle_grants_.size()};
+  return {cycle_grants_.data() + first, cycle_grants_.size() - first};
 }
 
 std::size_t SeparableAllocator::heap_bytes() const {
   const auto bytes = [](const auto& v) { return vector_bytes(v); };
   return bytes(in_rr_) + bytes(out_rr_) + bytes(in_busy_) + bytes(out_busy_) +
          bytes(winners_) + bytes(out_has_candidate_) + bytes(cand_outs_) +
-         bytes(iter_grants_) + bytes(cycle_grants_);
+         bytes(cycle_grants_);
 }
 
 }  // namespace dfsim

@@ -75,10 +75,14 @@ class AllocRequestBatch {
   std::vector<AllocRequest> reqs_;
 };
 
+/// Serves a range of routers of one shape (an engine shard's, or one).
+/// Only the round-robin pointers outlive a cycle, so they are the only
+/// per-router state; the scratch is shared by the range.
 class SeparableAllocator {
  public:
+  SeparableAllocator() = default;
   SeparableAllocator(std::int32_t in_ports, std::int32_t out_ports,
-                     std::int32_t vcs);
+                     std::int32_t vcs, std::int32_t routers = 1);
 
   /// Output arbitration priority for in-network (through) traffic: inputs
   /// at or past `first_injection_port` only win an output no through input
@@ -93,46 +97,33 @@ class SeparableAllocator {
     first_injection_port_ = first_injection_port;
   }
 
-  /// Runs one separable iteration over `batch`. The returned span aliases an
-  /// internal buffer valid until the next call.
-  [[nodiscard]] std::span<const AllocGrant> allocate_iteration(
-      const AllocRequestBatch& batch);
-
-  /// Incremental variant for multi-iteration (speedup > 1) allocation:
+  /// Starts a cycle of router `router` (an index into the served range):
+  /// clears the busy scratch and selects the router's round-robin pointers.
+  /// Then call `iterate` up to `speedup` times (multi-iteration allocation);
   /// inputs/outputs granted in earlier iterations of the same cycle are
-  /// skipped. Call `begin_cycle()` first, then `iterate` up to `speedup`
-  /// times; grants accumulate in `cycle_grants()`.
-  void begin_cycle();
+  /// skipped, and grants accumulate in `cycle_grants()`.
+  void begin_cycle(std::int32_t router = 0);
+  /// Runs one separable iteration over `batch` and returns its grants (the
+  /// tail of cycle_grants(); valid until the next begin_cycle()).
   std::span<const AllocGrant> iterate(const AllocRequestBatch& batch);
   [[nodiscard]] std::span<const AllocGrant> cycle_grants() const {
     return {cycle_grants_.data(), cycle_grants_.size()};
   }
 
-  /// Hint: fetches the state begin_cycle() and iterate() touch. Reads this
-  /// object's members, so callers prefetch the object itself earlier.
-  void prefetch_state() const {
-    for (const void* p :
-         {static_cast<const void*>(in_busy_.data()),
-          static_cast<const void*>(out_busy_.data()),
-          static_cast<const void*>(out_has_candidate_.data()),
-          static_cast<const void*>(winners_.data()),
-          static_cast<const void*>(cand_outs_.data()),
-          static_cast<const void*>(iter_grants_.data()),
-          static_cast<const void*>(cycle_grants_.data())}) {
-      prefetch(p);
-    }
-    prefetch_span(in_rr_.data(), in_rr_.size() * sizeof(std::int64_t));
-    prefetch_span(out_rr_.data(), out_rr_.size() * sizeof(std::int32_t));
+  /// Hint: fetches the round-robin pointers of router `router`, the only
+  /// per-router state begin_cycle() and iterate() touch.
+  void prefetch_router(std::int32_t router) const {
+    prefetch_span(&in_rr_[static_cast<std::size_t>(router * in_ports_)],
+                  static_cast<std::size_t>(in_ports_) * sizeof(std::int64_t));
+    prefetch_span(&out_rr_[static_cast<std::size_t>(router * out_ports_)],
+                  static_cast<std::size_t>(out_ports_) * sizeof(std::int32_t));
   }
 
-  [[nodiscard]] std::int32_t in_ports() const { return in_ports_; }
-  [[nodiscard]] std::int32_t out_ports() const { return out_ports_; }
-  [[nodiscard]] std::int32_t vcs() const { return vcs_; }
-  /// Heap bytes of the arbitration state and scratch.
+  /// Heap bytes of the round-robin pointers and the shared scratch.
   [[nodiscard]] std::size_t heap_bytes() const;
 
   /// Bound the per-input round-robin counters wrap at: the least common
-  /// multiple of 1..vcs, so `in_rr_[in] % n` is identical to an unbounded
+  /// multiple of 1..vcs, so `in_rr % n` is identical to an unbounded
   /// counter for every possible per-input request count n <= vcs — the
   /// wrap is observationally invisible (bit-exact goldens) while killing
   /// the overflow an unbounded narrow counter hits after ~2^31 grants on
@@ -140,23 +131,30 @@ class SeparableAllocator {
   /// the integer range (vcs >= 23): the counters then run free on int64,
   /// which cannot practically overflow.
   [[nodiscard]] std::int64_t in_rr_wrap() const { return in_rr_wrap_; }
-  /// Test hook: current RR pointer of input `in` (bounded by in_rr_wrap).
-  [[nodiscard]] std::int64_t debug_in_rr(std::int32_t in) const {
-    return in_rr_[static_cast<std::size_t>(in)];
+  /// Test hook: current RR pointer of input `in` of router `router`
+  /// (bounded by in_rr_wrap).
+  [[nodiscard]] std::int64_t debug_in_rr(std::int32_t in,
+                                         std::int32_t router = 0) const {
+    return in_rr_[static_cast<std::size_t>(router * in_ports_ + in)];
   }
 
  private:
-  std::int32_t in_ports_;
-  std::int32_t out_ports_;
-  std::int32_t vcs_;
-  std::int64_t in_rr_wrap_;                 // lcm(1..vcs); 0 = no wrap
+  std::int32_t in_ports_ = 0;
+  std::int32_t out_ports_ = 0;
+  std::int32_t vcs_ = 0;
+  std::int32_t routers_ = 0;
+  std::int64_t in_rr_wrap_ = 0;             // lcm(1..vcs); 0 = no wrap
   std::int32_t first_injection_port_ = -1;  // -1: plain round-robin
 
-  std::vector<std::int64_t> in_rr_;   // per input: round-robin VC pointer,
-                                      // wrapped at in_rr_wrap_ (see above)
-  std::vector<std::int32_t> out_rr_;  // per output: round-robin input
-                                      // pointer, bounded by construction
-                                      // (always advanced mod in_ports_)
+  // Round-robin pointers of every served router, indexed
+  // router * ports + port; in_base_/out_base_ select the current router's.
+  std::vector<std::int64_t> in_rr_;   // per input: VC pointer, wrapped at
+                                      // in_rr_wrap_ (see above)
+  std::vector<std::int32_t> out_rr_;  // per output: input pointer, bounded
+                                      // by construction (always advanced
+                                      // mod in_ports_)
+  std::size_t in_base_ = 0;
+  std::size_t out_base_ = 0;
 
   // Per-cycle scratch (preallocated).
   std::vector<std::int8_t> in_busy_;    // input granted this cycle
@@ -165,8 +163,7 @@ class SeparableAllocator {
   std::vector<AllocGrant> winners_;     // stage-1 winner per requesting input
   std::vector<std::int8_t> out_has_candidate_;
   std::vector<PortIndex> cand_outs_;    // distinct stage-1 outputs
-  std::vector<AllocGrant> iter_grants_;
-  std::vector<AllocGrant> cycle_grants_;
+  std::vector<AllocGrant> cycle_grants_;  // this cycle's, in grant order
 };
 
 }  // namespace dfsim

@@ -42,7 +42,9 @@ void PacketTracer::configure(const TraceParams& params, std::uint64_t run_seed,
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'F', 'T', 'R', 'A', 'C', 'E', '1'};
+// Distinct from the injection-trace magic ("DFTRACE1", traffic/trace.hpp):
+// the layouts differ, so each reader refuses the other's files up front.
+constexpr char kMagic[8] = {'D', 'F', 'P', 'T', 'R', 'C', '0', '1'};
 constexpr std::size_t kRecordBytes = 24;
 
 void put_u64(unsigned char* out, std::uint64_t v) {

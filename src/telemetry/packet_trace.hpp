@@ -136,8 +136,9 @@ class PacketTracer {
 
 // --- export / import -------------------------------------------------------
 
-/// Compact binary format: "DFTRACE1" magic, little-endian u64 count +
-/// i64 dropped, then 24 bytes per event.
+/// Compact binary format: "DFPTRC01" magic (its own: injection traces use
+/// "DFTRACE1"), little-endian u64 count + i64 dropped, then 24 bytes per
+/// event.
 void write_trace_binary(const std::vector<TraceEvent>& events,
                         std::int64_t dropped, std::ostream& os);
 

@@ -1,7 +1,9 @@
 // SeparableAllocator: no double grants, grants match real requests, work
-// conservation on contested outputs, multi-iteration improvement, and the
+// conservation on contested outputs, multi-iteration improvement, the
 // bounded round-robin counters (wrap at lcm(1..vcs), bit-identical cadence
-// to an unbounded counter — the int32-overflow fix).
+// to an unbounded counter — the int32-overflow fix), and one allocator
+// serving several routers granting exactly what one allocator per router
+// would.
 #include <cassert>
 #include <cstdlib>
 #include <vector>
@@ -36,7 +38,8 @@ int main() {
           }
         }
       }
-      const auto grants = alloc.allocate_iteration(batch);
+      alloc.begin_cycle();
+      const auto grants = alloc.iterate(batch);
       std::vector<int> in_granted(static_cast<std::size_t>(ports), 0);
       std::vector<int> out_granted(static_cast<std::size_t>(ports), 0);
       for (const AllocGrant& g : grants) {
@@ -69,7 +72,8 @@ int main() {
     }
     std::vector<int> wins(static_cast<std::size_t>(ports), 0);
     for (int round = 0; round < 64; ++round) {
-      const auto grants = alloc.allocate_iteration(batch);
+      alloc.begin_cycle();
+      const auto grants = alloc.iterate(batch);
       assert(grants.size() == 1);
       assert(grants[0].out == 2);
       ++wins[static_cast<std::size_t>(grants[0].in)];
@@ -125,7 +129,8 @@ int main() {
       const std::int32_t n = two ? 2 : 1;
       batch.add(0, 0, 0);
       if (two) batch.add(0, 1, 1);
-      const auto grants = alloc.allocate_iteration(batch);
+      alloc.begin_cycle();
+      const auto grants = alloc.iterate(batch);
       assert(grants.size() == 1);
       // Stage 1 picks request (unbounded % n); both outputs are always
       // free, so the stage-1 pick is the grant.
@@ -139,6 +144,61 @@ int main() {
     // out_rr symmetry audit: the output pointer is advanced modulo
     // in_ports at the single write site (allocator.cpp stage 2), so it is
     // bounded by construction — no wrap fix needed there.
+  }
+
+  // One allocator serving a router range: with begin_cycle(router) randomly
+  // interleaved between two routers, every grant matches the grant of a
+  // dedicated one-router allocator fed the same batches (speedup 2, through
+  // priority on, so both stages and the cross-iteration busy state are
+  // exercised), and each router's input pointers stay inside the wrap bound.
+  {
+    const std::int32_t ports = 8;
+    const std::int32_t vcs = 3;
+    const std::int32_t first_injection = 6;
+    SeparableAllocator shared(ports, ports, vcs, 2);
+    shared.set_through_priority(first_injection);
+    SeparableAllocator solo[2] = {SeparableAllocator(ports, ports, vcs),
+                                  SeparableAllocator(ports, ports, vcs)};
+    for (SeparableAllocator& own : solo) {
+      own.set_through_priority(first_injection);
+    }
+    Rng rng(2024);
+    AllocRequestBatch batch;
+    batch.reserve(ports, vcs);
+    for (int round = 0; round < 500; ++round) {
+      const auto r = static_cast<std::int32_t>(rng.next_below(2));
+      batch.clear();
+      for (std::int32_t in = 0; in < ports; ++in) {
+        for (VcIndex vc = 0; vc < vcs; ++vc) {
+          if (rng.next_bool(0.6)) {
+            batch.add(static_cast<PortIndex>(in), vc,
+                      static_cast<PortIndex>(rng.next_below(
+                          static_cast<std::uint64_t>(ports))));
+          }
+        }
+      }
+      SeparableAllocator& own = solo[static_cast<std::size_t>(r)];
+      shared.begin_cycle(r);
+      own.begin_cycle();
+      for (int it = 0; it < 2; ++it) {
+        shared.iterate(batch);
+        own.iterate(batch);
+      }
+      const auto a = shared.cycle_grants();
+      const auto b = own.cycle_grants();
+      assert(a.size() == b.size());
+      for (std::size_t g = 0; g < a.size(); ++g) {
+        assert(a[g].in == b[g].in && a[g].vc == b[g].vc &&
+               a[g].out == b[g].out);
+      }
+      for (std::int32_t router = 0; router < 2; ++router) {
+        for (std::int32_t in = 0; in < ports; ++in) {
+          const std::int64_t rr = shared.debug_in_rr(in, router);
+          assert(rr >= 0 && rr < shared.in_rr_wrap());
+          assert(rr == solo[static_cast<std::size_t>(router)].debug_in_rr(in));
+        }
+      }
+    }
   }
 
   // Absurd VC counts: lcm(1..23) leaves the 2^30 bound, so the allocator

@@ -117,6 +117,16 @@ void test_memory_report() {
     }
     assert(free_list_reserved ==
            static_cast<std::size_t>(sim.pool_bound()) * sizeof(std::int32_t));
+    // One switch allocator per shard: only the routers' round-robin
+    // pointers scale with the router count.
+    std::size_t allocator_bytes = 0;
+    for (std::int32_t i = 0; i < threads; ++i) {
+      const std::string name = "shard" + std::to_string(i) + ".allocator";
+      assert(report.bytes(name) > 0);
+      allocator_bytes += report.bytes(name);
+    }
+    assert(allocator_bytes <= 1024 * 1024);
+    assert(report.bytes("engine.allocators") == 0);
   }
   std::printf("memory report ok\n");
 }

@@ -1,17 +1,22 @@
 // Report-layer unit tests: JSON canonical round-trip (emit -> parse ->
 // re-emit byte-identical), schema document round-trip, config-hash
 // stability and sensitivity, and a parity-gate self-test where a
-// deliberately corrupted golden must fail while the pristine one passes.
+// deliberately corrupted golden must fail while the pristine one passes;
+// and a point that throws inside a parallel sweep or transient panel
+// reaches the caller as its exception instead of ending the process.
 #include <cassert>
 #include <cmath>
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
+#include "engine/sweep.hpp"
 #include "report/json.hpp"
 #include "report/parity.hpp"
 #include "report/registry.hpp"
 #include "report/render.hpp"
+#include "report/runner.hpp"
 #include "report/schema.hpp"
 #include "sim/config_io.hpp"
 
@@ -309,6 +314,47 @@ void test_registry_and_render() {
   std::cout << "registry + renderer ok\n";
 }
 
+/// Runs `fn` and reports whether it threw std::invalid_argument.
+template <class Fn>
+bool throws_invalid_argument(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+void test_worker_errors() {
+  // One bad point (engine.threads = 0 is refused by the Simulator) among
+  // good ones: with 2 and 3 workers the sweep and the transient panel
+  // rethrow the worker's exception on the calling thread.
+  SimParams good = presets::tiny();
+  SimParams bad = good;
+  bad.engine.threads = 0;
+
+  SteadyOptions steady;
+  steady.warmup = 50;
+  steady.measure = 50;
+  const std::vector<SweepPoint> points{
+      {good, steady}, {bad, steady}, {good, steady}};
+  TransientOptions transient;
+  transient.warmup = 50;
+  transient.pre = 10;
+  transient.post = 20;
+  transient.drain = 50;
+  const std::vector<TransientSeries> series{{"good", good}, {"bad", bad}};
+  for (const int workers : {2, 3}) {
+    assert(throws_invalid_argument([&] { (void)run_sweep(points, workers); }));
+  }
+  assert(throws_invalid_argument([&] {
+    (void)run_transient_panel("errors", series, transient, 10, 10);
+  }));
+  // Without the bad point the same sweep runs through.
+  assert(run_sweep({points[0], points[2]}, 2).size() == 2);
+  std::cout << "worker errors propagate ok\n";
+}
+
 }  // namespace
 
 int main() {
@@ -318,6 +364,7 @@ int main() {
   test_trend_gates();
   test_golden_gates();
   test_registry_and_render();
+  test_worker_errors();
   std::cout << "test_report: all ok\n";
   return 0;
 }

@@ -7,7 +7,10 @@
 // of the telemetry.* / trace.* blocks.
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +25,7 @@
 #include "telemetry/packet_trace.hpp"
 #include "telemetry/phase_profiler.hpp"
 #include "telemetry/telemetry_sink.hpp"
+#include "traffic/trace.hpp"
 
 namespace {
 
@@ -297,6 +301,25 @@ void test_trace_roundtrip_and_determinism() {
   const std::size_t before = decoded.size();
   assert(!telemetry::read_trace_binary(corrupt, decoded, dropped));
   assert(decoded.size() == before);
+
+  // An injection trace (traffic/trace.hpp) is not a packet trace: the
+  // reader refuses it, and refuses this packet trace's own bytes under the
+  // injection-trace magic, so the rejection comes from the magic check.
+  {
+    const std::string path = "dfsim_test_injection_as_packet_trace.bin";
+    write_trace(path, {{0, 1, 2}, {3, 4, 5}});
+    std::ifstream in(path, std::ios::binary);
+    std::string injection((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    assert(injection.compare(0, 8, "DFTRACE1") == 0);
+    assert(full.compare(0, 8, "DFPTRC01") == 0);
+    std::stringstream foreign(injection);
+    assert(!telemetry::read_trace_binary(foreign, decoded, dropped));
+    std::stringstream relabeled(injection.substr(0, 8) + full.substr(8));
+    assert(!telemetry::read_trace_binary(relabeled, decoded, dropped));
+    assert(decoded.size() == before);
+  }
 
   // Chrome trace-event export: valid JSON, one traceEvents entry per event,
   // every lifecycle begin paired or still open (never closed twice).

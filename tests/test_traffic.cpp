@@ -8,9 +8,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/simulator.hpp"
+#include "telemetry/packet_trace.hpp"
 #include "traffic/model.hpp"
 #include "traffic/trace.hpp"
 
@@ -182,6 +186,34 @@ int main() {
       assert(back[i].src == records[i].src);
       assert(back[i].dst == records[i].dst);
     }
+    std::remove(path.c_str());
+  }
+
+  // A packet trace (telemetry/packet_trace.hpp) is not an injection trace:
+  // read_trace refuses it, and refuses an injection trace relabeled with
+  // the packet-trace magic, both with its bad-magic error.
+  {
+    const std::string path = "dfsim_test_packet_as_injection_trace.bin";
+    const auto bad_magic = [&path] {
+      try {
+        (void)read_trace(path);
+      } catch (const std::runtime_error& e) {
+        return std::string(e.what()).find("bad magic") != std::string::npos;
+      }
+      return false;
+    };
+    {
+      std::ofstream out(path, std::ios::binary);
+      telemetry::write_trace_binary({telemetry::TraceEvent{}}, 0, out);
+    }
+    assert(bad_magic());
+    write_trace(path, {{0, 1, 2}, {5, 0, 71}});
+    {
+      std::fstream relabel(path,
+                           std::ios::binary | std::ios::in | std::ios::out);
+      relabel.write("DFPTRC01", 8);
+    }
+    assert(bad_magic());
     std::remove(path.c_str());
   }
 
