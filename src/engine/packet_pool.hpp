@@ -20,11 +20,14 @@
 #pragma once
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "util/memory_report.hpp"
 #include "util/types.hpp"
@@ -62,6 +65,19 @@ class LazyArray {
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   [[nodiscard]] std::size_t size() const { return bytes_ / sizeof(T); }
+  [[nodiscard]] std::size_t reserved_bytes() const { return bytes_; }
+
+  /// Bytes of the mapping's pages that are resident (touched), from
+  /// mincore(2); at most reserved_bytes().
+  [[nodiscard]] std::size_t resident_bytes() const {
+    if (data_ == nullptr) return 0;
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> in_core((bytes_ + page - 1) / page);
+    if (mincore(data_, bytes_, in_core.data()) != 0) return bytes_;
+    std::size_t pages = 0;
+    for (const unsigned char c : in_core) pages += c & 1U;
+    return std::min(pages * page, bytes_);
+  }
 
  private:
   T* data_ = nullptr;

@@ -10,6 +10,7 @@
 
 #include "engine/head_wait.hpp"
 #include "routing/factory.hpp"
+#include "sim/config_io.hpp"
 #include "topo/factory.hpp"
 #include "util/prefetch.hpp"
 
@@ -29,17 +30,15 @@ Simulator::Simulator(const SimParams& params,
     : params_(params),
       topo_owner_(std::move(topology)),
       topo_(*topo_owner_) {
+  validate(params_);
   radix_ = topo_.radix();
   fwd_ = topo_.forward_ports();
   vmax_ = std::max({params_.router.vcs_local, params_.router.vcs_global,
                     params_.router.vcs_injection});
-  psize_ = std::max(1, params_.packet_size_phits);
+  psize_ = params_.packet_size_phits;
   div_vmax_ = FastDivisor(vmax_);
   div_radix_ = FastDivisor(radix_);
 
-  if (params_.engine.threads < 1) {
-    throw std::invalid_argument("engine.threads must be >= 1");
-  }
   // Index widths, checked here because Release builds compile asserts out:
   // flat queue indices are int32.
   const auto n_out = static_cast<std::int64_t>(topo_.routers()) * radix_;
@@ -73,7 +72,7 @@ Simulator::Simulator(const SimParams& params,
     fault_on_ = true;
     fault_ = FaultModel(params_.fault, topo_, params_.seed);
     health_.init(topo_.routers(), radix_);
-    hop_cap_ = std::max(1, params_.fault.hop_cap);
+    hop_cap_ = params_.fault.hop_cap;
     fault_next_event_ = params_.fault.onset;
     // The simulator holds exclusive ownership of the topology instance
     // (stored const for the hot path); attaching the health overlay is the
@@ -94,8 +93,8 @@ Simulator::Simulator(const SimParams& params,
   if (params_.telemetry.enabled) {
     telemetry_on_ = true;
     sink_.configure(topo_.routers(), radix_, fwd_,
-                    std::max<Cycle>(1, params_.telemetry.sample_period),
-                    std::max<std::int32_t>(1, params_.telemetry.max_samples));
+                    params_.telemetry.sample_period,
+                    params_.telemetry.max_samples);
     // First frame closes at the end of the first sample period.
     telemetry_next_sample_ = sink_.sample_period() - 1;
   }
@@ -126,11 +125,11 @@ std::int32_t Simulator::queue_capacity(PortIndex ip, VcIndex vc) const {
   }
   if (topo_.port_class(ip) == PortClass::kLocalClass) {
     return vc < params_.router.vcs_local
-               ? std::max(1, params_.router.buf_local_phits / psize_)
+               ? params_.router.buf_local_phits / psize_
                : 0;
   }
   return vc < params_.router.vcs_global
-             ? std::max(1, params_.router.buf_global_phits / psize_)
+             ? params_.router.buf_global_phits / psize_
              : 0;
 }
 
@@ -1530,9 +1529,11 @@ MemoryReport Simulator::memory_report() const {
   report.merge("topology", topo_.memory_report());
   report.add("engine.queues", bytes(q_) + bytes(port_cap_) + bytes(port_vcs_));
   report.add("engine.credits", bytes(credit_) + bytes(up_credit_));
-  report.add("engine.queue_slab", slab_.size() * sizeof(std::int32_t));
+  report.add("engine.queue_slab", slab_.resident_bytes(),
+             slab_.reserved_bytes());
   report.add("engine.outputs", out_);
-  report.add("engine.link_rings", ring_slab_.size() * sizeof(LinkEvent));
+  report.add("engine.link_rings", ring_slab_.resident_bytes(),
+             ring_slab_.reserved_bytes());
   report.add("engine.active_sets", queue_active_);
   report.add("engine.shard_tables",
              bytes(shard_of_router_) + bytes(credit_owner_) +

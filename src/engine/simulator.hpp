@@ -281,9 +281,10 @@ class Simulator : private routing::EngineProbe {
   [[nodiscard]] std::int64_t pool_high_water() const;
 
   /// Bytes per subsystem: topology tables, per-queue and per-output
-  /// arrays, queue slab, link rings, packet pool (committed up to its
-  /// high-water mark), per-shard allocators/wheels/outboxes/free lists, the
-  /// routing mechanism, fault overlay and telemetry.
+  /// arrays, queue slab and link rings (resident pages), packet pool
+  /// (committed up to its high-water mark), per-shard
+  /// allocators/wheels/outboxes/free lists, the routing mechanism, fault
+  /// overlay and telemetry.
   [[nodiscard]] MemoryReport memory_report() const;
 
   /// Debug cross-check of the active-set structures against a brute-force

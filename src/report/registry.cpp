@@ -494,32 +494,35 @@ ResultsDoc run_ablation_workloads(RunContext ctx) {
        RoutingKind::kCbBase, RoutingKind::kCbEctn});
 
   std::vector<GridTick> ticks;
-  if (ctx.traffic_forced) {
+  if (ctx.traffic_set()) {
     TrafficParams traffic = ctx.base.traffic;
     traffic.load = load;
     ticks.push_back(GridTick{traffic_label(traffic), kNaN,
                              [traffic](SimParams& p) { p.traffic = traffic; }});
   } else {
-    // Bench defaults (explicit flags always win): shift by a group's worth
+    // Bench defaults (user-set keys always win): shift by a group's worth
     // of nodes plus one so destinations straddle a router boundary; hot-set
     // sizing keeps per-hot-node demand under the 1 phit/cycle ejection
     // bound so HOTSPOT separates mechanisms instead of saturating.
     const std::int32_t npg = ctx.base.topo.a * ctx.base.topo.p;
-    TrafficParams base_traffic = ctx.base.traffic;
+    const TrafficParams& user = ctx.base.traffic;
+    TrafficParams base_traffic = user;
     base_traffic.load = load;
-    if (!ctx.shift_offset_forced) base_traffic.shift_offset = npg + 1;
-    if (!ctx.hotspot_count_forced) {
+    if (!ctx.user_set(user.shift_offset)) base_traffic.shift_offset = npg + 1;
+    if (!ctx.user_set(user.hotspot_count)) {
       base_traffic.hotspot_count =
           std::max<std::int32_t>(1, ctx.base.topo.nodes() / 8);
     }
-    if (!ctx.hotspot_fraction_forced) base_traffic.hotspot_fraction = 0.3;
+    if (!ctx.user_set(user.hotspot_fraction)) {
+      base_traffic.hotspot_fraction = 0.3;
+    }
     auto add = [&](const char* name, TrafficKind kind,
                    InjectionProcess injection = InjectionProcess::kBernoulli) {
       TrafficParams traffic = base_traffic;
       traffic.kind = kind;
-      // An explicit --injection applies to every pattern row; the two
+      // A user-set traffic.injection applies to every pattern row; the two
       // *-bursty rows are only defaults.
-      if (!ctx.injection_forced) traffic.injection = injection;
+      if (!ctx.user_set(user.injection)) traffic.injection = injection;
       ticks.push_back(
           GridTick{name, kNaN,
                    [traffic](SimParams& p) { p.traffic = traffic; }});

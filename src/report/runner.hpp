@@ -7,17 +7,20 @@
 
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/experiment.hpp"
 #include "report/schema.hpp"
 #include "sim/config.hpp"
+#include "sim/config_io.hpp"
+#include "sim/param_list.hpp"
 
 namespace dfsim::report {
 
 /// Everything a registered experiment needs to run: the scale's base
-/// parameters (with any --config/--set/--traffic overrides already applied)
+/// parameters (with any --config/--set/flag overrides already applied)
 /// plus measurement windows and optional user overrides of the x-grid and
 /// the mechanism line-up.
 struct RunContext {
@@ -34,16 +37,25 @@ struct RunContext {
   /// --with-ugal appends the UGAL-L/UGAL-G extra baselines to whatever
   /// line-up (default or --routings) is in effect.
   bool with_ugal = false;
-  /// --traffic/--trace/--adv-offset were given: figure-mandated patterns
-  /// must not clobber them (same contract as the old bench default_traffic).
-  bool traffic_forced = false;
-  bool adv_offset_forced = false;
-  /// Explicit workload knobs (CLI flags) that experiment-specific defaults
-  /// (e.g. ablation_workloads' shift/hotspot sizing) must not override.
-  bool injection_forced = false;
-  bool shift_offset_forced = false;
-  bool hotspot_count_forced = false;
-  bool hotspot_fraction_forced = false;
+  /// Config keys the user set: through --config, --set, or a dfsim_run
+  /// flag that spells a key. An experiment's own defaults never override
+  /// them.
+  std::set<std::string, std::less<>> user_keys;
+
+  /// Applies `key = value` to `base` and records the key as user-set.
+  void set_param(const std::string& key, const std::string& value) {
+    apply_param(base, key, value);
+    user_keys.insert(key);
+  }
+  /// Whether the user set the key of `field`, a member of `base`.
+  template <class T>
+  [[nodiscard]] bool user_set(const T& field) const {
+    return user_keys.contains(param_key(base, field));
+  }
+  /// Whether the user chose the traffic pattern (its kind, or a trace).
+  [[nodiscard]] bool traffic_set() const {
+    return user_set(base.traffic.kind) || user_set(base.traffic.trace_path);
+  }
 
   [[nodiscard]] std::vector<double> loads_or(
       const std::vector<double>& defaults) const {
@@ -62,10 +74,12 @@ struct RunContext {
   [[nodiscard]] std::int32_t reps_or(std::int32_t fallback) const {
     return reps ? *reps : fallback;
   }
-  /// Applies a figure's default pattern unless the user forced one.
+  /// Applies a figure's default pattern to the keys the user left alone.
   void default_traffic(TrafficKind kind, std::int32_t adv_offset = 1) {
-    if (!traffic_forced) base.traffic.kind = kind;
-    if (!adv_offset_forced) base.traffic.adv_offset = adv_offset;
+    if (!traffic_set()) base.traffic.kind = kind;
+    if (!user_set(base.traffic.adv_offset)) {
+      base.traffic.adv_offset = adv_offset;
+    }
   }
 };
 

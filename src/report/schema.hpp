@@ -114,11 +114,11 @@ void write_csv(const ResultsDoc& doc, std::ostream& os);
 // ---------------------------------------------------------------------------
 // Canonical config text + hash
 
-/// Every SimParams knob as "key = value" lines, one per line, in a fixed
-/// order, using the exact key names sim/config_io.cpp accepts (the text is
-/// itself a loadable INI overlay). Appending new params at the end keeps
-/// existing hashes stable only if the new field keeps its default — any
-/// behavioral config change is *supposed* to change the hash.
+/// Every key of sim/param_list.hpp that its emit policy admits, as
+/// "key = value" lines in list order (the text is itself a loadable INI
+/// overlay). A new key keeps existing hashes stable only if it is added
+/// with an emit policy that leaves it out at its default — any behavioral
+/// config change is *supposed* to change the hash.
 [[nodiscard]] std::string canonical_params_text(const SimParams& params);
 
 /// 64-bit FNV-1a over `text`, as 16 lowercase hex chars.

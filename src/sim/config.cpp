@@ -59,6 +59,19 @@ RoutingKind routing_kind_from_string(const std::string& name) {
   throw std::invalid_argument("unknown routing mechanism: " + name);
 }
 
+std::string to_string(GlobalMisroutePolicy policy) {
+  return policy == GlobalMisroutePolicy::kMmL ? "MM+L" : "CRG";
+}
+
+GlobalMisroutePolicy global_policy_from_string(const std::string& name) {
+  if (name == "MM+L" || name == "mml" || name == "MML") {
+    return GlobalMisroutePolicy::kMmL;
+  }
+  if (name == "CRG" || name == "crg") return GlobalMisroutePolicy::kCrg;
+  throw std::invalid_argument("unknown global misroute policy: " + name +
+                              " (expected MM+L|CRG)");
+}
+
 namespace presets {
 
 SimParams paper() {

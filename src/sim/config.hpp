@@ -42,6 +42,10 @@ enum class RoutingKind : std::uint8_t {
 /// current router's own global links.
 enum class GlobalMisroutePolicy : std::uint8_t { kMmL, kCrg };
 
+[[nodiscard]] std::string to_string(GlobalMisroutePolicy policy);
+[[nodiscard]] GlobalMisroutePolicy global_policy_from_string(
+    const std::string& name);
+
 /// Topology the unified engine instantiates (see topo/topology.hpp). The
 /// matching shape struct below is consulted; the others are ignored.
 enum class TopologyKind : std::uint8_t { kDragonfly, kFbfly, kTorus };

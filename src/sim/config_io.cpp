@@ -1,7 +1,15 @@
 #include "sim/config_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+
+#include "sim/param_list.hpp"
 
 namespace dfsim {
 
@@ -14,147 +22,128 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-std::int32_t to_i32(const std::string& key, const std::string& value) {
-  try {
-    return static_cast<std::int32_t>(std::stol(value));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config: bad integer for " + key + ": '" +
-                                value + "'");
+void parse_enum(const std::string& text, TopologyKind& out) {
+  out = topology_kind_from_string(text);
+}
+void parse_enum(const std::string& text, RoutingKind& out) {
+  out = routing_kind_from_string(text);
+}
+void parse_enum(const std::string& text, GlobalMisroutePolicy& out) {
+  out = global_policy_from_string(text);
+}
+void parse_enum(const std::string& text, TrafficKind& out) {
+  out = traffic_kind_from_string(text);
+}
+void parse_enum(const std::string& text, InjectionProcess& out) {
+  out = injection_process_from_string(text);
+}
+
+/// Parses all of `text` as T.
+template <class T>
+void parse_value(const std::string& key, const std::string& text, T& out) {
+  const char* const first = text.data();
+  const char* const last = first + text.size();
+  if constexpr (std::is_same_v<T, bool>) {
+    if (text == "true" || text == "1" || text == "yes" || text == "on") {
+      out = true;
+    } else if (text == "false" || text == "0" || text == "no" ||
+               text == "off") {
+      out = false;
+    } else {
+      throw std::invalid_argument(key + " needs true|false, got '" + text +
+                                  "'");
+    }
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    T v{};
+    const auto res = std::from_chars(first, last, v);
+    if (res.ec != std::errc{} || res.ptr != last ||
+        !std::isfinite(static_cast<double>(v))) {
+      std::ostringstream what;
+      what << key << " needs ";
+      if constexpr (std::is_integral_v<T>) {
+        what << "an integer in [" << +std::numeric_limits<T>::min() << ", "
+             << +std::numeric_limits<T>::max() << "]";
+      } else {
+        what << "a finite number";
+      }
+      what << ", got '" << text << "'";
+      throw std::invalid_argument(what.str());
+    }
+    out = v;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else {
+    try {
+      parse_enum(text, out);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(key + ": " + e.what());
+    }
   }
 }
 
-double to_f64(const std::string& key, const std::string& value) {
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config: bad number for " + key + ": '" +
-                                value + "'");
+template <class T>
+void check_rule(std::string_view key, const T& v, const Rule& rule) {
+  const auto fail = [key](const auto&... parts) {
+    std::ostringstream what;
+    (what << key << ... << parts);
+    throw std::invalid_argument(what.str());
+  };
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    const auto x = static_cast<double>(v);
+    if (!std::isfinite(x)) fail(" must be finite");
+    if (x < rule.lo) fail(" must be >= ", rule.lo);
+    if (x > rule.hi) fail(" must be <= ", rule.hi);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    const std::string spellings = std::string("|").append(rule.one_of) + '|';
+    if (!rule.one_of.empty() &&
+        spellings.find(std::string("|").append(v) + '|') == std::string::npos) {
+      fail(" must be one of ", rule.one_of, ", got '", v, "'");
+    }
   }
-}
-
-bool to_bool(const std::string& key, const std::string& value) {
-  if (value == "true" || value == "1" || value == "yes" || value == "on") {
-    return true;
-  }
-  if (value == "false" || value == "0" || value == "no" || value == "off") {
-    return false;
-  }
-  throw std::invalid_argument("config: bad bool for " + key + ": '" + value +
-                              "'");
 }
 
 }  // namespace
 
 void apply_param(SimParams& p, const std::string& key,
                  const std::string& value) {
-  // Topology
-  if (key == "topology") { p.topology = topology_kind_from_string(value); return; }
-  if (key == "topo.p") { p.topo.p = to_i32(key, value); return; }
-  if (key == "topo.a") { p.topo.a = to_i32(key, value); return; }
-  if (key == "topo.h") { p.topo.h = to_i32(key, value); return; }
-  if (key == "fbfly.k") { p.fbfly.k = to_i32(key, value); return; }
-  if (key == "fbfly.n") { p.fbfly.n = to_i32(key, value); return; }
-  if (key == "fbfly.c") { p.fbfly.c = to_i32(key, value); return; }
-  if (key == "torus.k") { p.torus.k = to_i32(key, value); return; }
-  if (key == "torus.n") { p.torus.n = to_i32(key, value); return; }
-  if (key == "torus.c") { p.torus.c = to_i32(key, value); return; }
-  // Router
-  if (key == "router.pipeline_cycles") { p.router.pipeline_cycles = to_i32(key, value); return; }
-  if (key == "router.speedup") { p.router.speedup = to_i32(key, value); return; }
-  if (key == "router.vcs_local") { p.router.vcs_local = to_i32(key, value); return; }
-  if (key == "router.vcs_global") { p.router.vcs_global = to_i32(key, value); return; }
-  if (key == "router.vcs_injection") { p.router.vcs_injection = to_i32(key, value); return; }
-  if (key == "router.buf_output_phits") { p.router.buf_output_phits = to_i32(key, value); return; }
-  if (key == "router.buf_local_phits") { p.router.buf_local_phits = to_i32(key, value); return; }
-  if (key == "router.buf_global_phits") { p.router.buf_global_phits = to_i32(key, value); return; }
-  if (key == "router.injection_queue_packets") { p.router.injection_queue_packets = to_i32(key, value); return; }
-  if (key == "router.through_priority") { p.router.through_priority = to_bool(key, value); return; }
-  // Links
-  if (key == "link.local_latency") { p.link.local_latency = to_i32(key, value); return; }
-  if (key == "link.global_latency") { p.link.global_latency = to_i32(key, value); return; }
-  // Routing
-  if (key == "routing.kind") { p.routing.kind = routing_kind_from_string(value); return; }
-  if (key == "routing.contention_threshold") { p.routing.contention_threshold = to_i32(key, value); return; }
-  if (key == "routing.hybrid_contention_threshold") { p.routing.hybrid_contention_threshold = to_i32(key, value); return; }
-  if (key == "routing.ectn_combined_threshold") { p.routing.ectn_combined_threshold = to_i32(key, value); return; }
-  if (key == "routing.ectn_update_period") { p.routing.ectn_update_period = to_i32(key, value); return; }
-  if (key == "routing.counter_saturation") { p.routing.counter_saturation = to_i32(key, value); return; }
-  if (key == "routing.olm_credit_fraction") { p.routing.olm_credit_fraction = to_f64(key, value); return; }
-  if (key == "routing.hybrid_credit_fraction") { p.routing.hybrid_credit_fraction = to_f64(key, value); return; }
-  if (key == "routing.pb_ugal_threshold") { p.routing.pb_ugal_threshold = to_i32(key, value); return; }
-  if (key == "routing.global_policy") {
-    if (value == "MM+L" || value == "mml" || value == "MML") {
-      p.routing.global_policy = GlobalMisroutePolicy::kMmL;
-    } else if (value == "CRG" || value == "crg") {
-      p.routing.global_policy = GlobalMisroutePolicy::kCrg;
-    } else {
-      throw std::invalid_argument("config: bad global_policy '" + value + "'");
+  bool found = false;
+  visit_params(p, [&](std::string_view name, auto& field, const Rule& rule,
+                      bool) {
+    if (found || name != key) return;
+    found = true;
+    auto parsed = field;  // a refused value leaves the field untouched
+    parse_value(key, value, parsed);
+    check_rule(name, parsed, rule);
+    field = std::move(parsed);
+    // A trace path selects trace replay.
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                 std::string>) {
+      if (&field == &p.traffic.trace_path) p.traffic.kind = TrafficKind::kTrace;
     }
-    return;
-  }
-  if (key == "routing.allow_local_misroute") { p.routing.allow_local_misroute = to_bool(key, value); return; }
-  if (key == "routing.statistical_trigger") { p.routing.statistical_trigger = to_bool(key, value); return; }
-  if (key == "routing.statistical_window") { p.routing.statistical_window = to_i32(key, value); return; }
-  // Traffic (names per traffic/spec.cpp; any registered model is selectable)
-  if (key == "traffic.kind") { p.traffic.kind = traffic_kind_from_string(value); return; }
-  if (key == "traffic.load") { p.traffic.load = to_f64(key, value); return; }
-  if (key == "traffic.adv_offset") { p.traffic.adv_offset = to_i32(key, value); return; }
-  if (key == "traffic.mixed_uniform_fraction") { p.traffic.mixed_uniform_fraction = to_f64(key, value); return; }
-  if (key == "traffic.shift_offset") { p.traffic.shift_offset = to_i32(key, value); return; }
-  if (key == "traffic.hotspot_count") { p.traffic.hotspot_count = to_i32(key, value); return; }
-  if (key == "traffic.hotspot_fraction") { p.traffic.hotspot_fraction = to_f64(key, value); return; }
-  if (key == "traffic.injection") { p.traffic.injection = injection_process_from_string(value); return; }
-  if (key == "traffic.burst_factor") { p.traffic.burst_factor = to_f64(key, value); return; }
-  if (key == "traffic.burst_len") { p.traffic.burst_len = to_f64(key, value); return; }
-  if (key == "traffic.trace_path") { p.traffic.trace_path = value; p.traffic.kind = TrafficKind::kTrace; return; }
-  if (key == "traffic.inorder_fraction") { p.traffic.inorder_fraction = to_f64(key, value); return; }
-  // Fault schedule (src/fault/fault_model.hpp)
-  if (key == "fault.enabled") { p.fault.enabled = to_bool(key, value); return; }
-  if (key == "fault.seed") { p.fault.seed = static_cast<std::uint64_t>(to_i32(key, value)); return; }
-  if (key == "fault.onset") { p.fault.onset = to_i32(key, value); return; }
-  if (key == "fault.link_fail_fraction") { p.fault.link_fail_fraction = to_f64(key, value); return; }
-  if (key == "fault.link_class") {
-    if (value != "any" && value != "local" && value != "global") {
-      throw std::invalid_argument("config: bad fault.link_class '" + value +
-                                  "' (expected any|local|global)");
-    }
-    p.fault.link_class = value;
-    return;
-  }
-  if (key == "fault.flap_period") { p.fault.flap_period = to_i32(key, value); return; }
-  if (key == "fault.flap_down") { p.fault.flap_down = to_i32(key, value); return; }
-  if (key == "fault.router_fail_fraction") { p.fault.router_fail_fraction = to_f64(key, value); return; }
-  if (key == "fault.degrade_fraction") { p.fault.degrade_fraction = to_f64(key, value); return; }
-  if (key == "fault.degrade_latency") { p.fault.degrade_latency = to_i32(key, value); return; }
-  if (key == "fault.hop_cap") { p.fault.hop_cap = to_i32(key, value); return; }
-  // Telemetry (src/telemetry/telemetry_sink.hpp)
-  if (key == "telemetry.enabled") { p.telemetry.enabled = to_bool(key, value); return; }
-  if (key == "telemetry.sample_period") { p.telemetry.sample_period = to_i32(key, value); return; }
-  if (key == "telemetry.max_samples") { p.telemetry.max_samples = to_i32(key, value); return; }
-  // Packet tracing (src/telemetry/packet_trace.hpp)
-  if (key == "trace.enabled") { p.trace.enabled = to_bool(key, value); return; }
-  if (key == "trace.seed") { p.trace.seed = static_cast<std::uint64_t>(to_i32(key, value)); return; }
-  if (key == "trace.sample_rate") { p.trace.sample_rate = to_f64(key, value); return; }
-  if (key == "trace.max_events") { p.trace.max_events = to_i32(key, value); return; }
-  // Congestion notifications (src/routing/notification.hpp, ARN family)
-  if (key == "notify.enabled") { p.notify.enabled = to_bool(key, value); return; }
-  if (key == "notify.threshold") { p.notify.threshold = to_f64(key, value); return; }
-  if (key == "notify.update_period") { p.notify.update_period = to_i32(key, value); return; }
-  if (key == "notify.propagation_delay") { p.notify.propagation_delay = to_i32(key, value); return; }
-  if (key == "notify.expiry") { p.notify.expiry = to_i32(key, value); return; }
-  if (key == "notify.throttle_injection") { p.notify.throttle_injection = to_bool(key, value); return; }
-  // Engine (src/engine/simulator.hpp sharded execution)
-  if (key == "engine.threads") { p.engine.threads = to_i32(key, value); return; }
-  // Top level
-  if (key == "packet_size_phits") { p.packet_size_phits = to_i32(key, value); return; }
-  if (key == "seed") { p.seed = static_cast<std::uint64_t>(to_i32(key, value)); return; }
-  throw std::invalid_argument("config: unknown key '" + key + "'");
+  });
+  if (!found) throw std::invalid_argument("config: unknown key '" + key + "'");
 }
 
-SimParams load_params(const std::string& path, const SimParams& base) {
+void validate(const SimParams& p) {
+  visit_params(p, [](std::string_view key, const auto& field,
+                     const Rule& rule, bool) { check_rule(key, field, rule); });
+  for (const std::int32_t* buf :
+       {&p.router.buf_local_phits, &p.router.buf_global_phits}) {
+    if (*buf < p.packet_size_phits) {
+      throw std::invalid_argument(
+          std::string(param_key(p, *buf)) + " must be >= " +
+          std::to_string(p.packet_size_phits) + " (" +
+          std::string(param_key(p, p.packet_size_phits)) +
+          ": a buffer holds at least one packet)");
+    }
+  }
+}
+
+std::vector<std::pair<std::string, std::string>> read_params_file(
+    const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("config: cannot open " + path);
-  SimParams params = base;
+  std::vector<std::pair<std::string, std::string>> assignments;
   std::string line;
   std::string section;
   while (std::getline(in, line)) {
@@ -172,13 +161,12 @@ SimParams load_params(const std::string& path, const SimParams& base) {
                                   line + "'");
     }
     std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
     if (!section.empty() && key.find('.') == std::string::npos) {
       key = section + "." + key;
     }
-    apply_param(params, key, value);
+    assignments.emplace_back(std::move(key), trim(line.substr(eq + 1)));
   }
-  return params;
+  return assignments;
 }
 
 }  // namespace dfsim

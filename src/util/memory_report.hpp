@@ -7,7 +7,8 @@
 //    toward resident memory;
 //  - `reserved`: the address space it holds, >= bytes. The two differ only
 //    for storage that is deliberately left untouched until used (the packet
-//    pool's id slots, the shard free lists).
+//    pool's id slots, the shard free lists, and the engine's queue slab and
+//    link rings, whose resident pages mincore counts).
 // `dfsim_run perf` prints the report next to peak RSS, so a run that uses a
 // lot of memory says where it went.
 #pragma once

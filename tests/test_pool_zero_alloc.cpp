@@ -85,8 +85,9 @@ void test_id_sequence_matches_reference() {
   std::printf("id sequence matches reference ok\n");
 }
 
-// At paper scale the dragonfly holds no routers^2 table, and the pool's
-// committed bytes are exactly the ids handed out times the packet size.
+// At paper scale the dragonfly holds no routers^2 table, the pool's
+// committed bytes are exactly the ids handed out times the packet size,
+// and the lazily mapped slab and rings report only their resident pages.
 void test_memory_report() {
   SimParams p = presets::paper();
   p.routing.kind = RoutingKind::kCbBase;
@@ -95,6 +96,16 @@ void test_memory_report() {
     p.engine.threads = threads;
     Simulator sim(p);
     assert(sim.pool_high_water() == 0);
+    // The queue slab and link rings are mapped, not yet touched: the
+    // report counts their resident pages, not their full size.
+    {
+      const MemoryReport fresh = sim.memory_report();
+      assert(fresh.reserved("engine.queue_slab") > 0);
+      assert(fresh.bytes("engine.queue_slab") <
+             fresh.reserved("engine.queue_slab"));
+      assert(fresh.bytes("engine.link_rings") <
+             fresh.reserved("engine.link_rings"));
+    }
     sim.run(200);
     const MemoryReport report = sim.memory_report();
     assert(report.bytes("topology.") < 1024 * 1024);

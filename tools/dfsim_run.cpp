@@ -128,11 +128,47 @@ void default_cycles(const std::string& scale, Cycle& warmup, Cycle& measure) {
   }
 }
 
-RunContext make_context(const CliOptions& cli) {
+/// A dfsim_run flag that spells a config key: `--traffic=ADV` is
+/// `--set=traffic.kind=ADV`.
+struct FlagKey {
+  const char* flag;
+  const char* key;
+  bool observe_only;  // a knob of the one run `observe` instruments
+};
+
+/// Applied after --config and --set, in this order (so a --trace given
+/// with --traffic wins).
+constexpr FlagKey kFlagKeys[] = {
+    {"traffic", "traffic.kind", false},
+    {"trace", "traffic.trace_path", false},
+    {"injection", "traffic.injection", false},
+    {"adv-offset", "traffic.adv_offset", false},
+    {"shift-offset", "traffic.shift_offset", false},
+    {"hotspot-count", "traffic.hotspot_count", false},
+    {"hotspot-fraction", "traffic.hotspot_fraction", false},
+    {"mixed-uniform-fraction", "traffic.mixed_uniform_fraction", false},
+    {"burst-factor", "traffic.burst_factor", false},
+    {"burst-len", "traffic.burst_len", false},
+    {"seed", "seed", false},
+    {"routing", "routing.kind", true},
+    {"load", "traffic.load", true},
+    {"sample-period", "telemetry.sample_period", true},
+    {"max-samples", "telemetry.max_samples", true},
+    {"trace-rate", "trace.sample_rate", true},
+    {"trace-max-events", "trace.max_events", true},
+};
+
+/// The scale's preset with --config, --set and the flags of kFlagKeys
+/// applied, validated before any experiment runs.
+RunContext make_context(const CliOptions& cli, bool observe = false) {
   RunContext ctx;
   ctx.scale = cli.get("scale", CliOptions::env("DFSIM_SCALE", "medium"));
   ctx.base = presets::by_name(ctx.scale);
-  if (cli.has("config")) ctx.base = load_params(cli.get("config"), ctx.base);
+  if (cli.has("config")) {
+    for (const auto& [key, value] : read_params_file(cli.get("config"))) {
+      ctx.set_param(key, value);
+    }
+  }
   if (cli.has("set")) {
     // `--set=routing.pb_ugal_threshold=5;topo.a=8` — ';'-separated
     // key=value assignments through the config_io keyspace.
@@ -144,10 +180,19 @@ RunContext make_context(const CliOptions& cli) {
         throw std::invalid_argument("--set expects key=value, got '" +
                                     assignment + "'");
       }
-      apply_param(ctx.base, assignment.substr(0, eq),
-                  assignment.substr(eq + 1));
+      ctx.set_param(assignment.substr(0, eq), assignment.substr(eq + 1));
     }
   }
+  for (const FlagKey& f : kFlagKeys) {
+    if (cli.has(f.flag) && (observe || !f.observe_only)) {
+      ctx.set_param(f.key, cli.get(f.flag));
+    }
+  }
+  validate(ctx.base);
+  if (!ctx.base.traffic.trace_path.empty()) {
+    (void)validate_trace(ctx.base.traffic.trace_path);
+  }
+
   default_cycles(ctx.scale, ctx.options.warmup, ctx.options.measure);
   ctx.options.warmup = cli.get_int(
       "warmup", CliOptions::env_int("DFSIM_WARMUP", ctx.options.warmup));
@@ -157,8 +202,6 @@ RunContext make_context(const CliOptions& cli) {
     ctx.options.reps = static_cast<std::int32_t>(cli.get_int("reps", 1));
     ctx.reps = ctx.options.reps;
   }
-  ctx.base.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(ctx.base.seed)));
   ctx.threads = static_cast<int>(cli.get_int("threads", 0));
 
   if (cli.has("loads")) {
@@ -177,48 +220,6 @@ RunContext make_context(const CliOptions& cli) {
   }
   // Appends to the default (or --routings) line-up, as the old benches did.
   ctx.with_ugal = cli.has("with-ugal");
-
-  if (cli.has("traffic")) {
-    ctx.base.traffic.kind = traffic_kind_from_string(cli.get("traffic"));
-    ctx.traffic_forced = true;
-  }
-  if (cli.has("trace")) {
-    ctx.base.traffic.kind = TrafficKind::kTrace;
-    ctx.base.traffic.trace_path = cli.get("trace");
-    (void)validate_trace(ctx.base.traffic.trace_path);
-    ctx.traffic_forced = true;
-  }
-  if (cli.has("injection")) {
-    ctx.base.traffic.injection =
-        injection_process_from_string(cli.get("injection"));
-    ctx.injection_forced = true;
-  }
-  if (cli.has("adv-offset")) {
-    ctx.base.traffic.adv_offset = static_cast<std::int32_t>(
-        cli.get_int("adv-offset", ctx.base.traffic.adv_offset));
-    ctx.adv_offset_forced = true;
-  }
-  if (cli.has("shift-offset")) {
-    ctx.base.traffic.shift_offset = static_cast<std::int32_t>(
-        cli.get_int("shift-offset", ctx.base.traffic.shift_offset));
-    ctx.shift_offset_forced = true;
-  }
-  if (cli.has("hotspot-count")) {
-    ctx.base.traffic.hotspot_count = static_cast<std::int32_t>(
-        cli.get_int("hotspot-count", ctx.base.traffic.hotspot_count));
-    ctx.hotspot_count_forced = true;
-  }
-  if (cli.has("hotspot-fraction")) {
-    ctx.base.traffic.hotspot_fraction =
-        cli.get_double("hotspot-fraction", ctx.base.traffic.hotspot_fraction);
-    ctx.hotspot_fraction_forced = true;
-  }
-  ctx.base.traffic.mixed_uniform_fraction = cli.get_double(
-      "mixed-uniform-fraction", ctx.base.traffic.mixed_uniform_fraction);
-  ctx.base.traffic.burst_factor =
-      cli.get_double("burst-factor", ctx.base.traffic.burst_factor);
-  ctx.base.traffic.burst_len =
-      cli.get_double("burst-len", ctx.base.traffic.burst_len);
   return ctx;
 }
 
@@ -409,21 +410,10 @@ int cmd_gate(const CliOptions& cli) {
 // a file that exists is a file the readers can parse.
 
 int cmd_observe(const CliOptions& cli) {
-  RunContext ctx = make_context(cli);
+  const RunContext ctx = make_context(cli, /*observe=*/true);
   SimParams p = ctx.base;
-  if (cli.has("routing")) {
-    p.routing.kind = routing_kind_from_string(cli.get("routing"));
-  }
-  p.traffic.load = cli.get_double("load", p.traffic.load);
   p.telemetry.enabled = true;
-  p.telemetry.sample_period = static_cast<Cycle>(
-      cli.get_int("sample-period", p.telemetry.sample_period));
-  p.telemetry.max_samples = static_cast<std::int32_t>(
-      cli.get_int("max-samples", p.telemetry.max_samples));
   p.trace.enabled = true;
-  p.trace.sample_rate = cli.get_double("trace-rate", p.trace.sample_rate);
-  p.trace.max_events = static_cast<std::int64_t>(
-      cli.get_int("trace-max-events", p.trace.max_events));
 
   Simulator sim(p);
   sim.run(ctx.options.warmup);
