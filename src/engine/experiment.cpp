@@ -1,51 +1,53 @@
 #include "engine/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 namespace dfsim {
 
-namespace {
+GuardedRun::GuardedRun(const SimParams& params, const SteadyOptions& options,
+                       std::int32_t rep)
+    : options_(options), sim_([&] {
+        SimParams seeded = params;
+        seeded.seed += static_cast<std::uint64_t>(rep) * 7919u;
+        return seeded;
+      }()) {}
 
-/// Runs `sim` forward `cycles` cycles in `window`-sized chunks, stopping early
-/// when no packet has been delivered over a full window while packets are
-/// still in the network (deadlock / total blackout under a fault schedule),
-/// or when the optional wall-clock cap trips. Returns false on early stop.
-///
-/// Chunked stepping is bit-exact with one long run — run(a); run(b) is
-/// identical to run(a + b) — so healthy results are unchanged by the window.
-bool run_guarded(Simulator& sim, Cycle cycles, Cycle window,
-                 double wall_limit_s,
-                 const std::function<void(Cycle, std::int64_t, double)>&
-                     heartbeat = nullptr) {
-  if (cycles <= 0) return true;
-  if (window <= 0 && wall_limit_s <= 0.0 && !heartbeat) {
-    sim.run(cycles);
-    return true;
-  }
-  const auto start = std::chrono::steady_clock::now();
+// Chunked stepping is bit-exact with one long run — run(a); run(b) is
+// identical to run(a + b) — so healthy results are unchanged by the window.
+void GuardedRun::run(Cycle cycles) {
+  const Cycle window = options_.progress_window;
   const Cycle chunk = window > 0 ? window : cycles;
-  Cycle remaining = cycles;
-  while (remaining > 0) {
-    const Cycle step = remaining < chunk ? remaining : chunk;
-    const std::int64_t delivered_before = sim.lifetime_totals().delivered;
-    sim.run(step);
+  const auto start = std::chrono::steady_clock::now();
+  for (Cycle remaining = cycles; remaining > 0 && !stopped();) {
+    const Cycle step = std::min(remaining, chunk);
+    const std::int64_t delivered_before = sim_.lifetime_totals().delivered;
+    sim_.run(step);
+    remaining -= step;
+    const std::int64_t delivered = sim_.lifetime_totals().delivered;
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    if (heartbeat) {
-      heartbeat(sim.now(), sim.lifetime_totals().delivered, elapsed.count());
+    if (options_.heartbeat) {
+      options_.heartbeat(sim_.now(), delivered, elapsed.count());
     }
-    if (window > 0 && step == chunk &&
-        sim.lifetime_totals().delivered == delivered_before &&
-        sim.packets_in_network() > 0) {
-      return false;  // a full window with live packets but zero progress
+    if (step == window && delivered == delivered_before &&
+        sim_.packets_in_network() > 0) {
+      stop_ = "no packet delivered in " + std::to_string(window) +
+              " cycles with " + std::to_string(sim_.packets_in_network()) +
+              " packets in the network";
+    } else if (options_.wall_limit_s > 0.0 &&
+               elapsed.count() > options_.wall_limit_s) {
+      stop_ = "wall-clock limit reached";
     }
-    remaining -= step;
-    if (wall_limit_s > 0.0 && elapsed.count() > wall_limit_s) return false;
   }
-  return true;
 }
 
-}  // namespace
+void GuardedRun::require_progress(const std::string& what) const {
+  if (!stopped()) return;
+  throw std::runtime_error(what + ": stalled at cycle " +
+                           std::to_string(sim_.now()) + ": " + stop_);
+}
 
 SteadyResult run_steady(const SimParams& params, const SteadyOptions& options) {
   const std::int32_t reps = options.reps < 1 ? 1 : options.reps;
@@ -57,17 +59,12 @@ SteadyResult run_steady(const SimParams& params, const SteadyOptions& options) {
   // are true means and keep the per-rep average.
   LatencyHistogram pooled;
   for (std::int32_t rep = 0; rep < reps; ++rep) {
-    SimParams p = params;
-    p.seed = params.seed + static_cast<std::uint64_t>(rep) * 7919u;
-    Simulator sim(p);
-    bool ok = run_guarded(sim, options.warmup, options.progress_window,
-                          options.wall_limit_s, options.heartbeat);
+    GuardedRun run(params, options, rep);
+    Simulator& sim = run.sim();
+    run.run(options.warmup);
     sim.begin_measurement();
-    if (ok) {
-      ok = run_guarded(sim, options.measure, options.progress_window,
-                       options.wall_limit_s, options.heartbeat);
-    }
-    if (!ok) acc.timed_out += 1.0;
+    run.run(options.measure);
+    if (run.stopped()) acc.timed_out += 1.0;
 
     const Simulator::Metrics& m = sim.metrics();
     pooled.merge(m.latency_hist);
@@ -120,7 +117,6 @@ SteadyResult run_steady(const SimParams& params, const SteadyOptions& options) {
 TransientResult::TransientResult(Cycle pre, Cycle post)
     : pre_(pre),
       post_(post),
-      count_(static_cast<std::size_t>(pre + post), 0),
       misrouted_(static_cast<std::size_t>(pre + post), 0),
       latency_sum_(static_cast<std::size_t>(pre + post), 0.0),
       hist_(static_cast<std::size_t>(pre + post)) {}
@@ -128,72 +124,47 @@ TransientResult::TransientResult(Cycle pre, Cycle post)
 void TransientResult::record(Cycle birth_rel, Cycle latency, bool misrouted) {
   if (birth_rel < -pre_ || birth_rel >= post_) return;
   const std::size_t i = index(birth_rel);
-  ++count_[i];
   if (misrouted) ++misrouted_[i];
   latency_sum_[i] += static_cast<double>(latency);
   hist_[i].add(latency);
 }
 
-double TransientResult::latency_at(Cycle t, Cycle window) const {
-  const Cycle half = window / 2;
-  const Cycle lo = std::max<Cycle>(-pre_, t - half);
-  const Cycle hi = std::min<Cycle>(post_, t - half + std::max<Cycle>(1, window));
-  std::int64_t n = 0;
-  double sum = 0.0;
-  for (Cycle c = lo; c < hi; ++c) {
-    n += count_[index(c)];
-    sum += latency_sum_[index(c)];
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-double TransientResult::latency_p99_at(Cycle t, Cycle window) const {
-  const Cycle half = window / 2;
-  const Cycle lo = std::max<Cycle>(-pre_, t - half);
-  const Cycle hi = std::min<Cycle>(post_, t - half + std::max<Cycle>(1, window));
+TransientResult::Window TransientResult::at(Cycle t, Cycle window) const {
+  const Cycle lo = std::max<Cycle>(-pre_, t - window / 2);
+  const Cycle hi =
+      std::min<Cycle>(post_, t - window / 2 + std::max<Cycle>(1, window));
+  std::int64_t misrouted = 0;
+  double latency_sum = 0.0;
   LatencyHistogram merged;
-  for (Cycle c = lo; c < hi; ++c) merged.merge(hist_[index(c)]);
-  return merged.total() > 0 ? merged.quantile(0.99) : 0.0;
-}
-
-double TransientResult::misrouted_pct_at(Cycle t, Cycle window) const {
-  const Cycle half = window / 2;
-  const Cycle lo = std::max<Cycle>(-pre_, t - half);
-  const Cycle hi = std::min<Cycle>(post_, t - half + std::max<Cycle>(1, window));
-  std::int64_t n = 0;
-  std::int64_t mis = 0;
   for (Cycle c = lo; c < hi; ++c) {
-    n += count_[index(c)];
-    mis += misrouted_[index(c)];
+    misrouted += misrouted_[index(c)];
+    latency_sum += latency_sum_[index(c)];
+    merged.merge(hist_[index(c)]);
   }
-  return n > 0 ? 100.0 * static_cast<double>(mis) / static_cast<double>(n)
-               : 0.0;
+  const auto n = static_cast<double>(merged.total());
+  if (n == 0.0) return {};
+  return {latency_sum / n, merged.quantile(0.99),
+          100.0 * static_cast<double>(misrouted) / n};
 }
 
 TransientResult run_transient(const SimParams& params,
-                              const TransientOptions& options) {
-  TransientResult result(options.pre, options.post);
+                              const SteadyOptions& options,
+                              const TransientOptions& transient,
+                              const std::string& what) {
+  TransientResult result(transient.pre, transient.post);
+  SimParams before = params;
+  before.traffic = transient.before;
   const std::int32_t reps = options.reps < 1 ? 1 : options.reps;
   for (std::int32_t rep = 0; rep < reps; ++rep) {
-    SimParams p = params;
-    p.seed = params.seed + static_cast<std::uint64_t>(rep) * 7919u;
-    p.traffic = options.before;
-    Simulator sim(p);
-    bool ok = run_guarded(sim, options.warmup, options.progress_window,
-                          options.wall_limit_s, options.heartbeat);
+    GuardedRun run(before, options, rep);
+    Simulator& sim = run.sim();
+    run.run(options.warmup);
     sim.enable_delivery_log();
-    if (ok) {
-      ok = run_guarded(sim, options.pre, options.progress_window,
-                       options.wall_limit_s, options.heartbeat);
-    }
+    run.run(transient.pre);
     const Cycle switch_cycle = sim.now();
-    sim.set_traffic(options.after);
-    if (ok) {
-      ok = run_guarded(sim, options.post + options.drain,
-                       options.progress_window, options.wall_limit_s,
-                       options.heartbeat);
-    }
-    if (!ok) result.mark_timed_out();
+    sim.set_traffic(transient.after);
+    run.run(transient.post + transient.drain);
+    run.require_progress(what);
 
     for (const Simulator::Delivery& d : sim.delivery_log()) {
       result.record(d.birth - switch_cycle, d.latency, d.misrouted);

@@ -1,9 +1,10 @@
-// Steady-state and transient experiment drivers over the Simulator, plus the
-// result structs every figure bench consumes.
+// The guarded run every driver shares, the steady-state and transient
+// drivers built on it, and the result structs every figure consumes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "engine/simulator.hpp"
@@ -16,21 +17,44 @@ struct SteadyOptions {
   Cycle warmup = 2000;
   Cycle measure = 3000;
   std::int32_t reps = 1;
-  /// No-progress watchdog: a rep that goes `progress_window` consecutive
+  /// No-progress watchdog: a run that goes `progress_window` consecutive
   /// cycles without a single delivery while packets sit in the network
-  /// (deadlock / total blackout under a fault schedule) stops early and the
-  /// result is flagged timed_out instead of hanging ctest/CI. Deterministic
-  /// (cycle-based), and chunked stepping is bit-exact with one long run, so
-  /// healthy results are unchanged for any window. <= 0 disables.
+  /// (deadlock / total blackout under a fault schedule) stops early instead
+  /// of hanging ctest/CI. Deterministic (cycle-based), and chunked stepping
+  /// is bit-exact with one long run, so healthy results are unchanged for
+  /// any window. <= 0 disables.
   Cycle progress_window = 50000;
-  /// Optional wall-clock cap per rep in seconds; 0 disables. CI backstop
-  /// only — tripping it makes results machine-dependent.
+  /// Optional wall-clock cap per guarded segment in seconds; 0 disables. CI
+  /// backstop only — tripping it makes results machine-dependent.
   double wall_limit_s = 0.0;
   /// Optional progress heartbeat, invoked after every watchdog chunk with
   /// the sim's current cycle, lifetime deliveries, and wall seconds elapsed
-  /// in the current guarded run. Purely observational — results are
+  /// in the current guarded segment. Purely observational — results are
   /// bit-exact with and without it. Null disables.
   std::function<void(Cycle, std::int64_t, double)> heartbeat;
+};
+
+/// One seeded, watchdog-checked simulation (rep `rep` runs at seed
+/// `params.seed + rep * 7919`). Each run() steps a segment in
+/// `progress_window` chunks, fires the heartbeat after each, and stops the
+/// run for good on a full window without a delivery or past the wall cap.
+/// Callers hook between segments through sim().
+class GuardedRun {
+ public:
+  GuardedRun(const SimParams& params, const SteadyOptions& options,
+             std::int32_t rep = 0);
+
+  void run(Cycle cycles);  // steps nothing once stopped
+  [[nodiscard]] bool stopped() const { return !stop_.empty(); }
+  /// Throws std::runtime_error naming `what`, the cycle and the cause when
+  /// the run stopped: for runs with no partial result to report.
+  void require_progress(const std::string& what) const;
+  [[nodiscard]] Simulator& sim() { return sim_; }
+
+ private:
+  SteadyOptions options_;
+  Simulator sim_;
+  std::string stop_;  // why the run stopped; empty while it runs
 };
 
 struct SteadyResult {
@@ -58,7 +82,9 @@ struct SteadyResult {
   double timed_out = 0.0;          // share of reps stopped by the watchdog
 };
 
-/// Runs warmup + measurement (averaged over `reps` seeds).
+/// Runs warmup + measurement (averaged over `reps` seeds). A rep the
+/// watchdog stops counts into `timed_out` instead of throwing, so a grid
+/// cell reports its stall next to its metrics.
 [[nodiscard]] SteadyResult run_steady(const SimParams& params,
                                       const SteadyOptions& options);
 
@@ -66,44 +92,34 @@ struct SteadyResult {
 // Transient experiments (Figures 7-9): traffic switches `before` -> `after`
 // at t=0; deliveries are bucketed by *birth* cycle relative to the switch.
 
+/// What a transient adds to the steady options (warmup, reps, watchdog and
+/// heartbeat come from SteadyOptions).
 struct TransientOptions {
   TrafficParams before;
   TrafficParams after;
-  Cycle warmup = 2000;
   Cycle pre = 50;    // observed cycles before the switch
   Cycle post = 250;  // observed cycles after the switch
-  std::int32_t reps = 1;
   /// Extra cycles simulated past `post` so late-born packets still deliver
   /// into their birth buckets.
   Cycle drain = 2000;
-  /// No-progress watchdog (see SteadyOptions::progress_window).
-  Cycle progress_window = 50000;
-  double wall_limit_s = 0.0;
-  /// Progress heartbeat (see SteadyOptions::heartbeat).
-  std::function<void(Cycle, std::int64_t, double)> heartbeat;
 };
 
 class TransientResult {
  public:
   TransientResult(Cycle pre, Cycle post);
 
-  /// Mean latency of packets born in [t - window/2, t + window/2).
-  [[nodiscard]] double latency_at(Cycle t, Cycle window) const;
-  /// p99 latency of packets born in the same window, read from per-interval
-  /// log2-bucketed histograms — the transient tail spike around a traffic
-  /// switch is much larger than the mean spike and invisible without it.
-  [[nodiscard]] double latency_p99_at(Cycle t, Cycle window) const;
-  /// Percentage of globally misrouted packets born in the same window.
-  [[nodiscard]] double misrouted_pct_at(Cycle t, Cycle window) const;
+  /// Packets born in [t - window/2, t - window/2 + max(1, window)), clipped
+  /// to the observed span; all 0 when none were born there.
+  struct Window {
+    double latency = 0.0;  // mean
+    /// p99 from the per-cycle log2-bucketed histograms — the transient tail
+    /// spike around a traffic switch is much larger than the mean spike.
+    double latency_p99 = 0.0;
+    double misrouted_pct = 0.0;  // globally misrouted share
+  };
+  [[nodiscard]] Window at(Cycle t, Cycle window) const;
 
   void record(Cycle birth_rel, Cycle latency, bool misrouted);
-
-  [[nodiscard]] Cycle pre() const { return pre_; }
-  [[nodiscard]] Cycle post() const { return post_; }
-
-  /// True when any rep was stopped early by the no-progress watchdog.
-  [[nodiscard]] bool timed_out() const { return timed_out_; }
-  void mark_timed_out() { timed_out_ = true; }
 
  private:
   [[nodiscard]] std::size_t index(Cycle t) const {
@@ -112,14 +128,16 @@ class TransientResult {
 
   Cycle pre_;
   Cycle post_;
-  bool timed_out_ = false;
-  std::vector<std::int64_t> count_;
   std::vector<std::int64_t> misrouted_;
   std::vector<double> latency_sum_;
   std::vector<LatencyHistogram> hist_;  // per birth-cycle bucket
 };
 
+/// Runs the transient over `options.reps` reps. A rep the watchdog stops
+/// throws std::runtime_error naming `what` (see GuardedRun::require_progress).
 [[nodiscard]] TransientResult run_transient(const SimParams& params,
-                                            const TransientOptions& options);
+                                            const SteadyOptions& options,
+                                            const TransientOptions& transient,
+                                            const std::string& what);
 
 }  // namespace dfsim

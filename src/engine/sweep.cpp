@@ -34,8 +34,8 @@ void parallel_for(std::size_t n, int workers,
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<SteadyResult> run_sweep(const std::vector<SweepPoint>& points,
-                                    int threads) {
+std::vector<SteadyResult> run_sweep(const std::vector<SimParams>& points,
+                                    const SteadyOptions& options, int threads) {
   std::vector<SteadyResult> results(points.size());
   if (threads <= 0) {
     threads = static_cast<int>(
@@ -44,7 +44,7 @@ std::vector<SteadyResult> run_sweep(const std::vector<SweepPoint>& points,
                                 std::thread::hardware_concurrency())));
   }
   parallel_for(points.size(), threads, [&](std::size_t i) {
-    results[i] = run_steady(points[i].params, points[i].options);
+    results[i] = run_steady(points[i], options);
   });
   return results;
 }

@@ -12,11 +12,6 @@
 
 namespace dfsim {
 
-struct SweepPoint {
-  SimParams params;
-  SteadyOptions options;
-};
-
 /// Runs task(i) for every i in [0, n) on min(workers, n) threads, the
 /// calling thread included. When a task throws, no further index is handed
 /// out; the workers finish their current task and are joined, and the first
@@ -24,9 +19,11 @@ struct SweepPoint {
 void parallel_for(std::size_t n, int workers,
                   const std::function<void(std::size_t)>& task);
 
-/// Worker count: explicit argument > $DFSIM_THREADS > hardware concurrency,
-/// clamped to the number of points.
+/// run_steady over every point under one set of options. Worker count:
+/// explicit argument > $DFSIM_THREADS > hardware concurrency, clamped to the
+/// number of points.
 [[nodiscard]] std::vector<SteadyResult> run_sweep(
-    const std::vector<SweepPoint>& points, int threads = 0);
+    const std::vector<SimParams>& points, const SteadyOptions& options,
+    int threads = 0);
 
 }  // namespace dfsim

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
-#include "engine/simulator.hpp"
+#include "engine/experiment.hpp"
 #include "routing/ectn_state.hpp"
 
 namespace dfsim::report {
@@ -52,12 +53,21 @@ SimParams torus_base_for(const std::string& scale) {
 /// preset. When the user already selected this topology themselves
 /// (`--set=topology=fbfly;fbfly.k=5...` or a --config file), their fully
 /// configured base is kept instead — rebasing would silently discard those
-/// overrides.
+/// overrides. The seed and the traffic keys carry over (presets leave
+/// traffic at its defaults).
 RunContext rebase(RunContext ctx, SimParams base) {
   if (ctx.base.topology == base.topology) return ctx;
   base.seed = ctx.base.seed;
+  base.traffic = ctx.base.traffic;
   ctx.base = std::move(base);
   return ctx;
+}
+
+/// A load as transient panel names print it: "0.2", "0.37".
+std::string load_label(double load) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", load);
+  return buf;
 }
 
 /// The paper's Section VI-B analytic ECtN full-array estimate, per preset —
@@ -87,7 +97,8 @@ Panel ectn_estimate_panel(const std::string& name) {
 // Steady-state figures
 
 ResultsDoc run_fig5a(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kUniform);
+  ctx.base.traffic.kind =
+      ctx.user_or(ctx.base.traffic.kind, TrafficKind::kUniform);
   const auto mechanisms = ctx.lineup_or(with_min_first(adaptive_lineup()));
   const auto loads =
       ctx.loads_or({0.05, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9});
@@ -99,7 +110,8 @@ ResultsDoc run_fig5a(RunContext ctx) {
 }
 
 ResultsDoc run_fig5b(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kAdversarial, 1);
+  ctx.base.traffic.kind =
+      ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
   // MIN rides along (the old bench dropped it): its collapse on the single
   // inter-group link is one of the paper-parity gates.
   const auto mechanisms =
@@ -113,7 +125,10 @@ ResultsDoc run_fig5b(RunContext ctx) {
 }
 
 ResultsDoc run_fig5c(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kAdversarial, ctx.base.topo.h);
+  ctx.base.traffic.kind =
+      ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
+  ctx.base.traffic.adv_offset =
+      ctx.user_or(ctx.base.traffic.adv_offset, ctx.base.topo.h);
   const auto mechanisms = ctx.lineup_or(with_val_first(adaptive_lineup()));
   const auto loads = ctx.loads_or({0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45});
   ResultsDoc doc;
@@ -124,7 +139,7 @@ ResultsDoc run_fig5c(RunContext ctx) {
 }
 
 ResultsDoc run_fig6(RunContext ctx) {
-  const double load = 0.35;
+  const double load = ctx.user_or(ctx.base.traffic.load, 0.35);
   const auto mechanisms = ctx.lineup_or(adaptive_lineup());
   std::vector<GridTick> ticks;
   for (const double f : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
@@ -137,9 +152,9 @@ ResultsDoc run_fig6(RunContext ctx) {
                              }});
   }
   ResultsDoc doc;
-  doc.panels.push_back(run_grid_panel("mixed@0.35", "pct_UN", ctx.base, ticks,
-                                      mechanism_series(mechanisms),
-                                      ctx.options, ctx.threads));
+  doc.panels.push_back(run_grid_panel(
+      "mixed@" + format_fixed(load, 2), "pct_UN", ctx.base, ticks,
+      mechanism_series(mechanisms), ctx.options, ctx.threads));
   fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
@@ -147,21 +162,18 @@ ResultsDoc run_fig6(RunContext ctx) {
 // -------------------------------------------------------------------------
 // Transient figures
 
-TransientOptions un_to_adv_switch(const RunContext& ctx, double load,
-                                  Cycle pre, Cycle post, std::int32_t reps) {
+/// UN -> ADV+1 at the user's load, else 0.2.
+TransientOptions un_to_adv_switch(const RunContext& ctx, Cycle pre,
+                                  Cycle post) {
   TransientOptions topt;
   topt.before = ctx.base.traffic;
   topt.before.kind = TrafficKind::kUniform;
-  topt.before.load = load;
-  topt.after = ctx.base.traffic;
+  topt.before.load = ctx.user_or(ctx.base.traffic.load, 0.2);
+  topt.after = topt.before;
   topt.after.kind = TrafficKind::kAdversarial;
   topt.after.adv_offset = 1;
-  topt.after.load = load;
-  topt.warmup = ctx.options.warmup;
   topt.pre = pre;
   topt.post = post;
-  topt.reps = reps;
-  topt.heartbeat = ctx.options.heartbeat;
   return topt;
 }
 
@@ -177,42 +189,43 @@ std::vector<TransientSeries> mechanism_transient_series(
 }
 
 ResultsDoc run_fig7(RunContext ctx) {
-  const std::int32_t reps = ctx.reps_or(5);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 50, 250, reps);
+  ctx.options.reps = ctx.reps_or(5);
+  const TransientOptions topt = un_to_adv_switch(ctx, 50, 250);
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@0.2",
-      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())), topt,
-      /*step=*/10, /*window=*/10));
-  fill_header(doc, ctx, reps);
+      "UN->ADV+1@" + load_label(topt.after.load),
+      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())),
+      ctx.options, topt, /*step=*/10, /*window=*/10));
+  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 ResultsDoc run_fig8(RunContext ctx) {
   // Large buffers (Figure 8 caption): 256/2048 phits per VC.
-  ctx.base.router.buf_local_phits = 256;
-  ctx.base.router.buf_global_phits = 2048;
-  const std::int32_t reps = ctx.reps_or(3);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 50, 1600, reps);
+  auto& router = ctx.base.router;
+  router.buf_local_phits = ctx.user_or(router.buf_local_phits, 256);
+  router.buf_global_phits = ctx.user_or(router.buf_global_phits, 2048);
+  ctx.options.reps = ctx.reps_or(3);
+  const TransientOptions topt = un_to_adv_switch(ctx, 50, 1600);
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@0.2 large-buffers",
-      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())), topt,
-      /*step=*/50, /*window=*/25));
-  fill_header(doc, ctx, reps);
+      "UN->ADV+1@" + load_label(topt.after.load) + " large-buffers",
+      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())),
+      ctx.options, topt, /*step=*/50, /*window=*/25));
+  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 ResultsDoc run_fig9(RunContext ctx) {
-  const std::int32_t reps = ctx.reps_or(5);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 0, 1600, reps);
+  ctx.options.reps = ctx.reps_or(5);
+  const TransientOptions topt = un_to_adv_switch(ctx, 0, 1600);
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@0.2 long",
+      "UN->ADV+1@" + load_label(topt.after.load) + " long",
       mechanism_transient_series(
           ctx, ctx.lineup_or({RoutingKind::kPiggyback, RoutingKind::kCbEctn})),
-      topt, /*step=*/25, /*window=*/25));
-  fill_header(doc, ctx, reps);
+      ctx.options, topt, /*step=*/25, /*window=*/25));
+  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
@@ -380,11 +393,12 @@ ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
     p.traffic.kind = sc.kind;
     p.traffic.adv_offset = 1;
     p.traffic.load = sc.load;
-    Simulator sim(p);
-    sim.run(ctx.options.warmup);
-    sim.enable_ectn_monitor(async_mult, urgent_delta);
-    sim.run(ctx.options.measure);
-    const EctnOverheadReport rep = sim.ectn_monitor().report();
+    GuardedRun run(p, ctx.options);
+    run.run(ctx.options.warmup);
+    run.sim().enable_ectn_monitor(async_mult, urgent_delta);
+    run.run(ctx.options.measure);
+    run.require_progress(std::string("scenario ") + sc.name);
+    const EctnOverheadReport rep = run.sim().ectn_monitor().report();
 
     measured.x_labels.push_back(sc.name);
     measured.x_values.push_back(kNaN);
@@ -488,13 +502,13 @@ ResultsDoc run_ablation_misrouting(RunContext ctx) {
 }
 
 ResultsDoc run_ablation_workloads(RunContext ctx) {
-  const double load = 0.30;
+  const double load = ctx.user_or(ctx.base.traffic.load, 0.30);
   const auto mechanisms = ctx.lineup_or(
       {RoutingKind::kMin, RoutingKind::kUgalL, RoutingKind::kPiggyback,
        RoutingKind::kCbBase, RoutingKind::kCbEctn});
 
   std::vector<GridTick> ticks;
-  if (ctx.traffic_set()) {
+  if (ctx.user_set(ctx.base.traffic.kind)) {
     TrafficParams traffic = ctx.base.traffic;
     traffic.load = load;
     ticks.push_back(GridTick{traffic_label(traffic), kNaN,
@@ -508,21 +522,17 @@ ResultsDoc run_ablation_workloads(RunContext ctx) {
     const TrafficParams& user = ctx.base.traffic;
     TrafficParams base_traffic = user;
     base_traffic.load = load;
-    if (!ctx.user_set(user.shift_offset)) base_traffic.shift_offset = npg + 1;
-    if (!ctx.user_set(user.hotspot_count)) {
-      base_traffic.hotspot_count =
-          std::max<std::int32_t>(1, ctx.base.topo.nodes() / 8);
-    }
-    if (!ctx.user_set(user.hotspot_fraction)) {
-      base_traffic.hotspot_fraction = 0.3;
-    }
+    base_traffic.shift_offset = ctx.user_or(user.shift_offset, npg + 1);
+    base_traffic.hotspot_count = ctx.user_or(
+        user.hotspot_count, std::max<std::int32_t>(1, ctx.base.topo.nodes() / 8));
+    base_traffic.hotspot_fraction = ctx.user_or(user.hotspot_fraction, 0.3);
     auto add = [&](const char* name, TrafficKind kind,
                    InjectionProcess injection = InjectionProcess::kBernoulli) {
       TrafficParams traffic = base_traffic;
       traffic.kind = kind;
       // A user-set traffic.injection applies to every pattern row; the two
       // *-bursty rows are only defaults.
-      if (!ctx.user_set(user.injection)) traffic.injection = injection;
+      traffic.injection = ctx.user_or(user.injection, injection);
       ticks.push_back(
           GridTick{name, kNaN,
                    [traffic](SimParams& p) { p.traffic = traffic; }});
@@ -538,9 +548,9 @@ ResultsDoc run_ablation_workloads(RunContext ctx) {
   }
 
   ResultsDoc doc;
-  doc.panels.push_back(run_grid_panel("patterns@0.30", "pattern", ctx.base,
-                                      ticks, mechanism_series(mechanisms),
-                                      ctx.options, ctx.threads));
+  doc.panels.push_back(run_grid_panel(
+      "patterns@" + format_fixed(load, 2), "pattern", ctx.base, ticks,
+      mechanism_series(mechanisms), ctx.options, ctx.threads));
   fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
@@ -575,8 +585,8 @@ ResultsDoc run_ablation_fbfly(RunContext outer) {
 
 ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
   RunContext ctx = rebase(outer, fbfly_base_for(outer.scale));
-  const double load = 0.3;
-  const std::int32_t reps = ctx.reps_or(3);
+  ctx.options.reps = ctx.reps_or(3);
+  const double load = ctx.user_or(ctx.base.traffic.load, 0.3);
 
   struct Variant {
     const char* name;
@@ -604,16 +614,14 @@ ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
   topt.after.kind = TrafficKind::kAdversarial;  // the FB row adversary
   topt.after.adv_offset = 1;
   topt.after.load = load;
-  topt.warmup = ctx.options.warmup;
   topt.pre = 25;
   topt.post = 350;
-  topt.reps = reps;
-  topt.heartbeat = ctx.options.heartbeat;
 
   ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel("UN->ADJ@0.3", series, topt,
+  doc.panels.push_back(run_transient_panel("UN->ADJ@" + load_label(load),
+                                           series, ctx.options, topt,
                                            /*step=*/25, /*window=*/25));
-  fill_header(doc, ctx, reps);
+  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
@@ -660,8 +668,9 @@ ResultsDoc run_ablation_torus(RunContext outer) {
 // Fault overlay (beyond the paper)
 
 ResultsDoc run_fault_degradation(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kUniform);
-  ctx.base.traffic.load = 0.30;
+  ctx.base.traffic.kind =
+      ctx.user_or(ctx.base.traffic.kind, TrafficKind::kUniform);
+  ctx.base.traffic.load = ctx.user_or(ctx.base.traffic.load, 0.30);
   const auto mechanisms = ctx.lineup_or(
       {RoutingKind::kMin, RoutingKind::kValiant, RoutingKind::kPiggyback,
        RoutingKind::kCbBase, RoutingKind::kCbEctn});
@@ -680,15 +689,16 @@ ResultsDoc run_fault_degradation(RunContext ctx) {
 
   ResultsDoc doc;
   doc.panels.push_back(run_grid_panel(
-      "UN@0.30 dead global links", "fail_fraction", ctx.base, ticks,
+      "UN@" + format_fixed(ctx.base.traffic.load, 2) + " dead global links",
+      "fail_fraction", ctx.base, ticks,
       mechanism_series(mechanisms), ctx.options, ctx.threads));
   fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 ResultsDoc run_fault_transient(RunContext ctx) {
-  const std::int32_t reps = ctx.reps_or(5);
-  const double load = 0.30;
+  ctx.options.reps = ctx.reps_or(5);
+  const double load = ctx.user_or(ctx.base.traffic.load, 0.30);
   const Cycle pre = 50;
   const Cycle post = 250;
 
@@ -700,27 +710,24 @@ ResultsDoc run_fault_transient(RunContext ctx) {
   topt.before.kind = TrafficKind::kUniform;
   topt.before.load = load;
   topt.after = topt.before;
-  topt.warmup = ctx.options.warmup;
   topt.pre = pre;
   topt.post = post;
-  topt.reps = reps;
-  topt.heartbeat = ctx.options.heartbeat;
 
   std::vector<TransientSeries> series;
   for (const RoutingKind kind :
        ctx.lineup_or({RoutingKind::kCbBase, RoutingKind::kOlm,
                       RoutingKind::kPiggyback})) {
     SimParams p = presets::with_link_faults(ctx.base, 0.25, "global",
-                                            topt.warmup + pre);
+                                            ctx.options.warmup + pre);
     p.routing.kind = kind;
     series.push_back(TransientSeries{to_string(kind), p});
   }
 
   ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel("UN@0.3 global faults at t=0",
-                                           series, topt,
-                                           /*step=*/10, /*window=*/10));
-  fill_header(doc, ctx, reps);
+  doc.panels.push_back(run_transient_panel(
+      "UN@" + load_label(load) + " global faults at t=0", series, ctx.options,
+      topt, /*step=*/10, /*window=*/10));
+  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
@@ -728,9 +735,11 @@ ResultsDoc run_fault_transient(RunContext ctx) {
 // Notification family (ARN): adaptation speed and sustained throughput.
 
 ResultsDoc run_notification_transient(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kAdversarial, 1);
-  const std::int32_t reps = ctx.reps_or(5);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 50, 250, reps);
+  ctx.base.traffic.kind =
+      ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
+  SteadyOptions transient_options = ctx.options;
+  transient_options.reps = ctx.reps_or(5);
+  const TransientOptions topt = un_to_adv_switch(ctx, 50, 250);
 
   // Transient panel: the counter trigger (Base) and the credit trigger
   // (PB) frame the notification family's adaptation speed; the throttle
@@ -752,8 +761,9 @@ ResultsDoc run_notification_transient(RunContext ctx) {
   }
 
   ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel("UN->ADV+1@0.2", series, topt,
-                                           /*step=*/10, /*window=*/10));
+  doc.panels.push_back(run_transient_panel(
+      "UN->ADV+1@" + load_label(topt.after.load), series, transient_options,
+      topt, /*step=*/10, /*window=*/10));
 
   // Steady ADV+1 panel for the throughput gates: VAL is the 0.5-bound
   // reference the notification family must not fall under at saturating
@@ -777,7 +787,7 @@ ResultsDoc run_notification_transient(RunContext ctx) {
       "ADV+1 steady", "load", ctx.base,
       load_ticks(ctx.loads_or({0.1, 0.2, 0.3, 0.4})), steady, ctx.options,
       ctx.threads));
-  fill_header(doc, ctx, reps);
+  fill_header(doc, ctx, transient_options.reps);
   return doc;
 }
 
@@ -785,8 +795,10 @@ ResultsDoc run_notification_transient(RunContext ctx) {
 // Observability: backlog formation through the spatial telemetry sink.
 
 ResultsDoc run_congestion_map(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kAdversarial, 1);
-  ctx.base.traffic.load = ctx.loads_or({0.30}).front();
+  ctx.base.traffic.kind =
+      ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
+  ctx.base.traffic.load =
+      ctx.loads_or({ctx.user_or(ctx.base.traffic.load, 0.30)}).front();
   const std::vector<RoutingKind> mechanisms = ctx.lineup_or(
       {RoutingKind::kMin, RoutingKind::kCbBase, RoutingKind::kCbEctn});
 
@@ -809,10 +821,12 @@ ResultsDoc run_congestion_map(RunContext ctx) {
     p.telemetry.enabled = true;
     p.telemetry.sample_period = period;
     p.telemetry.max_samples = 64;
-    Simulator sim(p);
-    sim.run(ctx.options.warmup);
+    GuardedRun run(p, ctx.options);
+    Simulator& sim = run.sim();
+    run.run(ctx.options.warmup);
     sim.begin_measurement();
-    sim.run(ctx.options.measure);
+    run.run(ctx.options.measure);
+    run.require_progress("series " + to_string(kind));
 
     const telemetry::TelemetrySink& sink = sim.telemetry_sink();
     const std::int32_t frames = sink.frames();
@@ -1152,7 +1166,12 @@ void fill_header(ResultsDoc& doc, const RunContext& ctx, std::int32_t reps) {
 }
 
 ResultsDoc run_experiment(const ExperimentSpec& spec, const RunContext& ctx) {
-  ResultsDoc doc = spec.run(ctx);
+  ResultsDoc doc;
+  try {
+    doc = spec.run(ctx);
+  } catch (const std::runtime_error& e) {  // a stalled run, among others
+    throw std::runtime_error(std::string(spec.name) + ": " + e.what());
+  }
   doc.header.schema = kSchemaVersion;
   doc.header.experiment = spec.name;
   doc.header.title = spec.title;

@@ -59,17 +59,16 @@ Panel run_grid_panel(const std::string& name, const std::string& x_label,
                      const SimParams& base, const std::vector<GridTick>& ticks,
                      const std::vector<GridSeries>& series,
                      const SteadyOptions& options, int threads) {
-  std::vector<SweepPoint> points;
+  std::vector<SimParams> points;
   points.reserve(ticks.size() * series.size());
   for (const GridTick& tick : ticks) {
     for (const GridSeries& line : series) {
-      SweepPoint pt{base, options};
-      if (tick.mutate) tick.mutate(pt.params);
-      if (line.mutate) line.mutate(pt.params);
-      points.push_back(std::move(pt));
+      SimParams& p = points.emplace_back(base);
+      if (tick.mutate) tick.mutate(p);
+      if (line.mutate) line.mutate(p);
     }
   }
-  const std::vector<SteadyResult> results = run_sweep(points, threads);
+  const std::vector<SteadyResult> results = run_sweep(points, options, threads);
 
   Panel panel;
   panel.name = name;
@@ -133,15 +132,18 @@ Panel run_load_grid(const std::string& name, const SimParams& base,
 
 Panel run_transient_panel(const std::string& name,
                           const std::vector<TransientSeries>& series,
-                          const TransientOptions& options, Cycle step,
+                          const SteadyOptions& options,
+                          const TransientOptions& transient, Cycle step,
                           Cycle window) {
-  std::vector<TransientResult> results(series.size(),
-                                       TransientResult(options.pre, options.post));
+  std::vector<TransientResult> results(
+      series.size(), TransientResult(transient.pre, transient.post));
   // One worker per series: each run_transient is single-threaded and the
   // series count is small (<= 6).
   parallel_for(series.size(), static_cast<int>(series.size()),
                [&](std::size_t i) {
-                 results[i] = run_transient(series[i].params, options);
+                 results[i] = run_transient(
+                     series[i].params, options, transient,
+                     "panel '" + name + "' series " + series[i].label);
                });
 
   Panel panel;
@@ -154,16 +156,17 @@ Panel run_transient_panel(const std::string& name,
   std::vector<std::vector<double>> latency;
   std::vector<std::vector<double>> misrouted;
   std::vector<std::vector<double>> p99;
-  for (Cycle t = -options.pre; t < options.post; t += step) {
+  for (Cycle t = -transient.pre; t < transient.post; t += step) {
     panel.x_labels.push_back(std::to_string(t));
     panel.x_values.push_back(static_cast<double>(t));
     std::vector<double> lat_row(series.size(), kNaN);
     std::vector<double> mis_row(series.size(), kNaN);
     std::vector<double> p99_row(series.size(), kNaN);
     for (std::size_t si = 0; si < series.size(); ++si) {
-      lat_row[si] = results[si].latency_at(t, window);
-      mis_row[si] = results[si].misrouted_pct_at(t, window);
-      p99_row[si] = results[si].latency_p99_at(t, window);
+      const TransientResult::Window w = results[si].at(t, window);
+      lat_row[si] = w.latency;
+      mis_row[si] = w.misrouted_pct;
+      p99_row[si] = w.latency_p99;
     }
     latency.push_back(std::move(lat_row));
     misrouted.push_back(std::move(mis_row));

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/experiment.hpp"
@@ -42,19 +43,25 @@ struct RunContext {
   /// them.
   std::set<std::string, std::less<>> user_keys;
 
-  /// Applies `key = value` to `base` and records the key as user-set.
+  /// Applies `key = value` to `base` and records the key as user-set. A
+  /// trace path also sets the pattern (traffic.kind becomes TRACE).
   void set_param(const std::string& key, const std::string& value) {
     apply_param(base, key, value);
     user_keys.insert(key);
+    if (key == "traffic.trace_path") user_keys.insert("traffic.kind");
   }
   /// Whether the user set the key of `field`, a member of `base`.
   template <class T>
   [[nodiscard]] bool user_set(const T& field) const {
     return user_keys.contains(param_key(base, field));
   }
-  /// Whether the user chose the traffic pattern (its kind, or a trace).
-  [[nodiscard]] bool traffic_set() const {
-    return user_set(base.traffic.kind) || user_set(base.traffic.trace_path);
+  /// An experiment's default for one key: the user's value of `field` (a
+  /// member of `base`) when they set its key, else `fallback`. Experiments
+  /// write it into `base` only where the default belongs in the config hash.
+  template <class T>
+  [[nodiscard]] T user_or(const T& field,
+                          const std::type_identity_t<T>& fallback) const {
+    return user_set(field) ? field : fallback;
   }
 
   [[nodiscard]] std::vector<double> loads_or(
@@ -73,13 +80,6 @@ struct RunContext {
   }
   [[nodiscard]] std::int32_t reps_or(std::int32_t fallback) const {
     return reps ? *reps : fallback;
-  }
-  /// Applies a figure's default pattern to the keys the user left alone.
-  void default_traffic(TrafficKind kind, std::int32_t adv_offset = 1) {
-    if (!traffic_set()) base.traffic.kind = kind;
-    if (!user_set(base.traffic.adv_offset)) {
-      base.traffic.adv_offset = adv_offset;
-    }
   }
 };
 
@@ -127,10 +127,12 @@ struct TransientSeries {
 
 /// Runs every series (parallel across series, reps inside run_transient) and
 /// samples latency/misrouted_pct at `step`-spaced cycles with a `window`-
-/// cycle smoothing window, as the paper's transient figures do.
+/// cycle smoothing window, as the paper's transient figures do. A series the
+/// watchdog stops throws, naming the panel and the series.
 [[nodiscard]] Panel run_transient_panel(
     const std::string& name, const std::vector<TransientSeries>& series,
-    const TransientOptions& options, Cycle step, Cycle window);
+    const SteadyOptions& options, const TransientOptions& transient,
+    Cycle step, Cycle window);
 
 /// Formats a double with fixed decimals (tick labels, notes).
 [[nodiscard]] std::string format_fixed(double v, int precision);

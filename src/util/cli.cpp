@@ -2,7 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <iostream>
+#include <optional>
+#include <stdexcept>
 
 namespace dfsim {
 
@@ -50,46 +51,56 @@ std::string CliOptions::get(const std::string& key,
   return (opt != nullptr && opt->has_value) ? opt->value : fallback;
 }
 
-std::int64_t CliOptions::parse_int(const std::string& text,
-                                   std::int64_t fallback) {
-  if (text.empty()) return fallback;
+namespace {
+
+std::optional<std::int64_t> read_int(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || (end != nullptr && *end != '\0')) {
-    return fallback;
-  }
+  if (errno != 0 || end == text.c_str() || *end != '\0') return std::nullopt;
   return static_cast<std::int64_t>(value);
 }
 
-double CliOptions::parse_double(const std::string& text, double fallback) {
-  if (text.empty()) return fallback;
+std::optional<double> read_double(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || (end != nullptr && *end != '\0')) {
-    return fallback;
-  }
+  if (errno != 0 || end == text.c_str() || *end != '\0') return std::nullopt;
   return value;
+}
+
+}  // namespace
+
+std::int64_t CliOptions::parse_int(const std::string& text,
+                                   std::int64_t fallback) {
+  return read_int(text).value_or(fallback);
+}
+
+double CliOptions::parse_double(const std::string& text, double fallback) {
+  return read_double(text).value_or(fallback);
+}
+
+std::int64_t CliOptions::to_int(const std::string& key,
+                                const std::string& text) {
+  if (const auto value = read_int(text)) return *value;
+  throw std::invalid_argument("--" + key + "=" + text + " is not an integer");
+}
+
+double CliOptions::to_double(const std::string& key, const std::string& text) {
+  if (const auto value = read_double(text)) return *value;
+  throw std::invalid_argument("--" + key + "=" + text + " is not a number");
 }
 
 std::int64_t CliOptions::get_int(const std::string& key,
                                  std::int64_t fallback) const {
   const Option* opt = find(key);
-  if (opt == nullptr || !opt->has_value) return fallback;
-  const std::int64_t parsed = parse_int(opt->value, fallback);
-  if (parsed == fallback && CliOptions::parse_int(opt->value, fallback + 1) !=
-                                parsed) {  // did not actually parse
-    std::cerr << "warning: --" << key << "=" << opt->value
-              << " is not an integer; using " << fallback << "\n";
-  }
-  return parsed;
+  return opt != nullptr && opt->has_value ? to_int(key, opt->value) : fallback;
 }
 
 double CliOptions::get_double(const std::string& key, double fallback) const {
   const Option* opt = find(key);
-  if (opt == nullptr || !opt->has_value) return fallback;
-  return parse_double(opt->value, fallback);
+  return opt != nullptr && opt->has_value ? to_double(key, opt->value)
+                                          : fallback;
 }
 
 std::string CliOptions::env(const std::string& name,

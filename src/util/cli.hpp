@@ -19,12 +19,18 @@ class CliOptions {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
 
-  /// Numeric lookups fall back (and warn once on stderr) when the value does
-  /// not parse, instead of throwing out of `std::stol`/`std::stod`.
+  /// Numeric lookups: `fallback` when the flag is absent or valueless; a
+  /// value that does not parse throws std::invalid_argument naming the flag.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
+  /// Strict parses of one value of `--key` (also an item of a list flag),
+  /// throwing std::invalid_argument naming the flag.
+  [[nodiscard]] static std::int64_t to_int(const std::string& key,
+                                           const std::string& text);
+  [[nodiscard]] static double to_double(const std::string& key,
+                                        const std::string& text);
 
   /// Environment variable lookup with fallback.
   [[nodiscard]] static std::string env(const std::string& name,
@@ -33,7 +39,7 @@ class CliOptions {
   [[nodiscard]] static std::int64_t env_int(const std::string& name,
                                             std::int64_t fallback);
 
-  /// Tolerant parses used by both CLI and env paths. Return the fallback on
+  /// Tolerant parses for the env paths. Return the fallback on
   /// empty/garbage input rather than throwing.
   [[nodiscard]] static std::int64_t parse_int(const std::string& text,
                                               std::int64_t fallback);

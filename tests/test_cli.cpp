@@ -1,7 +1,8 @@
-// CliOptions: flag parsing, numeric fallbacks, and tolerant env parsing
+// CliOptions: flag parsing, strict numeric flags, and tolerant env parsing
 // (the bench/common.cpp DFSIM_WARMUP/DFSIM_MEASURE fix).
 #include <cassert>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,15 +28,27 @@ int main() {
     assert(cli.positional()[0] == "positional");
   }
 
-  // Garbage numeric values fall back instead of throwing.
+  // Garbage numeric flag values throw, naming the flag.
   {
     const char* argv[] = {"prog", "--warmup=banana", "--load=1.5x"};
     CliOptions cli(3, const_cast<char**>(argv));
-    assert(cli.get_int("warmup", 42) == 42);
-    assert(cli.get_double("load", 0.5) == 0.5);
+    const auto message = [](const auto& lookup) {
+      try {
+        (void)lookup();
+      } catch (const std::invalid_argument& e) {
+        return std::string(e.what());
+      }
+      return std::string("no throw");
+    };
+    assert(message([&] { return cli.get_int("warmup", 42); }) ==
+           "--warmup=banana is not an integer");
+    assert(message([&] { return cli.get_double("load", 0.5); }) ==
+           "--load=1.5x is not a number");
+    assert(message([] { return CliOptions::to_double("loads", "abc"); }) ==
+           "--loads=abc is not a number");
   }
 
-  // parse_int/parse_double cover the env paths used by bench/common.cpp.
+  // parse_int/parse_double cover the env paths, which stay tolerant.
   assert(CliOptions::parse_int("", 7) == 7);
   assert(CliOptions::parse_int("  ", 7) == 7);
   assert(CliOptions::parse_int("1000", 7) == 1000);

@@ -336,23 +336,56 @@ void test_worker_errors() {
   SteadyOptions steady;
   steady.warmup = 50;
   steady.measure = 50;
-  const std::vector<SweepPoint> points{
-      {good, steady}, {bad, steady}, {good, steady}};
+  const std::vector<SimParams> points{good, bad, good};
   TransientOptions transient;
-  transient.warmup = 50;
   transient.pre = 10;
   transient.post = 20;
   transient.drain = 50;
   const std::vector<TransientSeries> series{{"good", good}, {"bad", bad}};
   for (const int workers : {2, 3}) {
-    assert(throws_invalid_argument([&] { (void)run_sweep(points, workers); }));
+    assert(throws_invalid_argument(
+        [&] { (void)run_sweep(points, steady, workers); }));
   }
   assert(throws_invalid_argument([&] {
-    (void)run_transient_panel("errors", series, transient, 10, 10);
+    (void)run_transient_panel("errors", series, steady, transient, 10, 10);
   }));
   // Without the bad point the same sweep runs through.
-  assert(run_sweep({points[0], points[2]}, 2).size() == 2);
+  assert(run_sweep({good, good}, steady, 2).size() == 2);
   std::cout << "worker errors propagate ok\n";
+}
+
+// Experiment defaults yield to user-set keys: a user value moves both the
+// config hash and the results (the default runs are pinned by the goldens
+// and RESULTS.md).
+void test_user_keys_win() {
+  RunContext ctx;
+  ctx.scale = "tiny";
+  ctx.base = presets::tiny();
+  ctx.options.warmup = 200;
+  ctx.options.measure = 300;
+  ctx.lineup = std::vector<RoutingKind>{RoutingKind::kCbBase};
+  ctx.reps = 1;
+  const struct {
+    const char* experiment;
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"fig8", "router.buf_local_phits", "64"},
+      {"fig9", "traffic.load", "0.37"},
+      {"fault_degradation", "traffic.load", "0.37"},
+  };
+  for (const auto& c : cases) {
+    const ExperimentSpec& spec = *find_experiment(c.experiment);
+    RunContext user = ctx;
+    user.set_param(c.key, c.value);
+    const ResultsDoc by_default = run_experiment(spec, ctx);
+    ResultsDoc by_user = run_experiment(spec, user);
+    assert(by_user.header.config_hash != by_default.header.config_hash);
+    by_user.header = by_default.header;
+    by_user.panels[0].name = by_default.panels[0].name;
+    assert(to_json(by_user).dump() != to_json(by_default).dump());
+  }
+  std::cout << "user keys win over experiment defaults ok\n";
 }
 
 }  // namespace
@@ -365,6 +398,7 @@ int main() {
   test_golden_gates();
   test_registry_and_render();
   test_worker_errors();
+  test_user_keys_win();
   std::cout << "test_report: all ok\n";
   return 0;
 }

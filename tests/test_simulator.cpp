@@ -1,10 +1,13 @@
 // End-to-end simulator sanity at tiny scale: conservation, routing-mechanism
 // invariants (MIN never misroutes, VAL always does), throughput under light
-// load, adversarial behavior ordering, and the transient driver.
+// load, adversarial behavior ordering, the transient driver, and the
+// no-progress watchdog of the guarded run.
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
@@ -54,10 +57,60 @@ void check_construction_limits() {
 
 }  // namespace
 
+// The watchdog on a wedged network: ADV+1 under MIN with every global link
+// dead, so no packet can reach its destination group and none is delivered.
+void check_watchdog() {
+  using namespace dfsim;
+  SimParams wedge = presets::with_link_faults(presets::tiny(), 1.0, "global");
+  wedge.routing.kind = RoutingKind::kMin;
+  wedge.traffic.kind = TrafficKind::kAdversarial;
+  wedge.traffic.adv_offset = 1;
+  wedge.traffic.load = 0.3;
+
+  std::vector<Cycle> beats;
+  SteadyOptions opt;
+  opt.warmup = 300;
+  opt.measure = 1200;
+  opt.progress_window = 500;
+  opt.heartbeat = [&beats](Cycle now, std::int64_t, double) {
+    beats.push_back(now);
+  };
+
+  // A grid cell reports the stall. The 300-cycle warmup is shorter than a
+  // window; the measure segment's first full window (to cycle 800) delivers
+  // nothing, and the run steps no further.
+  assert(run_steady(wedge, opt).timed_out == 1.0);
+  assert((beats == std::vector<Cycle>{300, 800}));
+
+  // A healthy run never trips it and beats once per chunk of each segment.
+  beats.clear();
+  SimParams healthy = presets::tiny();
+  healthy.traffic.load = 0.3;
+  assert(run_steady(healthy, opt).timed_out == 0.0);
+  assert((beats == std::vector<Cycle>{300, 800, 1300, 1500}));
+
+  // A transient has no partial result to report: the stall throws, naming
+  // the run and the cycle (warmup 300 + pre 10 + one 500-cycle window).
+  TransientOptions topt;
+  topt.before = wedge.traffic;
+  topt.after = wedge.traffic;
+  topt.pre = 10;
+  topt.post = 10;
+  topt.drain = 1000;
+  bool threw = false;
+  try {
+    (void)run_transient(wedge, opt, topt, "wedge");
+  } catch (const std::runtime_error& e) {
+    threw = std::string(e.what()).rfind("wedge: stalled at cycle 810: ", 0) == 0;
+  }
+  assert(threw);
+}
+
 int main() {
   using namespace dfsim;
 
   check_construction_limits();
+  check_watchdog();
 
   // Light uniform load: every mechanism must deliver close to offered load
   // with sane latencies.
@@ -119,15 +172,16 @@ int main() {
     topt.after.kind = TrafficKind::kAdversarial;
     topt.after.adv_offset = 1;
     topt.after.load = 0.2;
-    topt.warmup = 1000;
     topt.pre = 40;
     topt.post = 200;
-    topt.reps = 2;
-    const TransientResult res = run_transient(p, topt);
-    assert(res.latency_at(-20, 20) > 0.0);
-    assert(res.latency_at(150, 40) > 0.0);
-    const double mis_before = res.misrouted_pct_at(-20, 20);
-    const double mis_after = res.misrouted_pct_at(150, 40);
+    SteadyOptions opt;
+    opt.warmup = 1000;
+    opt.reps = 2;
+    const TransientResult res = run_transient(p, opt, topt, "Base");
+    assert(res.at(-20, 20).latency > 0.0);
+    assert(res.at(150, 40).latency > 0.0);
+    const double mis_before = res.at(-20, 20).misrouted_pct;
+    const double mis_after = res.at(150, 40).misrouted_pct;
     if (!(mis_after > mis_before + 20.0)) {
       std::fprintf(stderr, "transient: mis before=%.1f after=%.1f\n",
                    mis_before, mis_after);
@@ -141,15 +195,14 @@ int main() {
     SteadyOptions opt;
     opt.warmup = 400;
     opt.measure = 600;
-    std::vector<SweepPoint> points;
+    std::vector<SimParams> points;
     for (const double load : {0.1, 0.3}) {
-      SweepPoint pt{p, opt};
-      pt.params.traffic.load = load;
-      points.push_back(pt);
+      points.push_back(p);
+      points.back().traffic.load = load;
     }
-    const auto parallel = run_sweep(points, 2);
-    const auto serial0 = run_steady(points[0].params, opt);
-    const auto serial1 = run_steady(points[1].params, opt);
+    const auto parallel = run_sweep(points, opt, 2);
+    const auto serial0 = run_steady(points[0], opt);
+    const auto serial1 = run_steady(points[1], opt);
     assert(parallel.size() == 2);
     assert(parallel[0].throughput == serial0.throughput);
     assert(parallel[1].throughput == serial1.throughput);

@@ -70,7 +70,8 @@ int usage(const std::string& error = "") {
       "          [--traffic=uniform] [--cycles=N] [--warmup=N] [--seed=N]\n"
       "          [--out=BENCH_engine.json] [--baseline=F] [--threshold=0.2]\n"
       "          [--phases] [--engine-threads=1,2,8] [--memory]\n"
-      "          [--max-rss-mb=N]\n";
+      "          [--max-rss-mb=N] [--config=file.ini] [--set=key=v;..]\n"
+      "          [run traffic flags]\n";
   return 2;
 }
 
@@ -158,12 +159,14 @@ constexpr FlagKey kFlagKeys[] = {
     {"trace-max-events", "trace.max_events", true},
 };
 
-/// The scale's preset with --config, --set and the flags of kFlagKeys
-/// applied, validated before any experiment runs.
-RunContext make_context(const CliOptions& cli, bool observe = false) {
+/// The `scale` preset with --config, --set and the flags of kFlagKeys
+/// applied (the observe-only ones too when `all_flags`), validated before
+/// anything runs.
+RunContext configure(const CliOptions& cli, const std::string& scale,
+                     bool all_flags) {
   RunContext ctx;
-  ctx.scale = cli.get("scale", CliOptions::env("DFSIM_SCALE", "medium"));
-  ctx.base = presets::by_name(ctx.scale);
+  ctx.scale = scale;
+  ctx.base = presets::by_name(scale);
   if (cli.has("config")) {
     for (const auto& [key, value] : read_params_file(cli.get("config"))) {
       ctx.set_param(key, value);
@@ -184,7 +187,7 @@ RunContext make_context(const CliOptions& cli, bool observe = false) {
     }
   }
   for (const FlagKey& f : kFlagKeys) {
-    if (cli.has(f.flag) && (observe || !f.observe_only)) {
+    if (cli.has(f.flag) && (all_flags || !f.observe_only)) {
       ctx.set_param(f.key, cli.get(f.flag));
     }
   }
@@ -192,7 +195,14 @@ RunContext make_context(const CliOptions& cli, bool observe = false) {
   if (!ctx.base.traffic.trace_path.empty()) {
     (void)validate_trace(ctx.base.traffic.trace_path);
   }
+  return ctx;
+}
 
+/// configure() at --scale plus the cycle budget and the run flags.
+RunContext make_context(const CliOptions& cli, bool observe = false) {
+  RunContext ctx = configure(
+      cli, cli.get("scale", CliOptions::env("DFSIM_SCALE", "medium")),
+      observe);
   default_cycles(ctx.scale, ctx.options.warmup, ctx.options.measure);
   ctx.options.warmup = cli.get_int(
       "warmup", CliOptions::env_int("DFSIM_WARMUP", ctx.options.warmup));
@@ -207,7 +217,7 @@ RunContext make_context(const CliOptions& cli, bool observe = false) {
   if (cli.has("loads")) {
     std::vector<double> loads;
     for (const std::string& item : split_csv(cli.get("loads"))) {
-      loads.push_back(std::stod(item));
+      loads.push_back(CliOptions::to_double("loads", item));
     }
     if (!loads.empty()) ctx.loads = std::move(loads);
   }
@@ -415,10 +425,12 @@ int cmd_observe(const CliOptions& cli) {
   p.telemetry.enabled = true;
   p.trace.enabled = true;
 
-  Simulator sim(p);
-  sim.run(ctx.options.warmup);
+  GuardedRun run(p, ctx.options);
+  Simulator& sim = run.sim();
+  run.run(ctx.options.warmup);
   sim.begin_measurement();
-  sim.run(ctx.options.measure);
+  run.run(ctx.options.measure);
+  run.require_progress("observe");
 
   const std::string out_dir = cli.get("out", "observe");
   std::filesystem::create_directories(out_dir);
@@ -538,20 +550,18 @@ Cycle default_perf_cycles(const std::string& scale) {
 int cmd_perf(const CliOptions& cli) {
   const std::vector<std::string> scales =
       split_csv(cli.get("scales", "tiny,medium"));
+  if (scales.empty()) throw std::invalid_argument("perf: no --scales given");
+  // Each scale's params come from the key list as `run` builds them; a bad
+  // value fails here, before any point is timed.
+  std::vector<SimParams> bases;
+  for (const std::string& scale : scales) {
+    bases.push_back(configure(cli, scale, /*all_flags=*/true).base);
+  }
   std::vector<double> loads;
   for (const std::string& item : split_csv(cli.get("loads", "0.05,0.3"))) {
-    try {
-      loads.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("perf: bad --loads entry '" + item + "'");
-    }
+    loads.push_back(CliOptions::to_double("loads", item));
   }
-  const RoutingKind routing =
-      routing_kind_from_string(cli.get("routing", "Base"));
-  const TrafficKind traffic =
-      traffic_kind_from_string(cli.get("traffic", "uniform"));
   const Cycle warmup = cli.get_int("warmup", 500);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   // --engine-threads=1,2,8 measures the same points at several shard
   // counts (engine.threads), turning the trajectory file into a scaling
   // record. Points are tagged with their shard count; baseline matching is
@@ -560,12 +570,8 @@ int cmd_perf(const CliOptions& cli) {
   std::vector<std::int32_t> thread_counts;
   for (const std::string& item :
        split_csv(cli.get("engine-threads", "1"))) {
-    try {
-      thread_counts.push_back(std::stoi(item));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("perf: bad --engine-threads entry '" +
-                                  item + "'");
-    }
+    thread_counts.push_back(static_cast<std::int32_t>(
+        CliOptions::to_int("engine-threads", item)));
   }
   // --phases folds the engine's per-phase wall-time accounting into each
   // point (shard 0's as phase_seconds; sharded points add every shard's as
@@ -577,14 +583,12 @@ int cmd_perf(const CliOptions& cli) {
 
   Json points = Json::array();
   double max_rss = 0.0;
-  for (const std::string& scale : scales) {
+  for (std::size_t si = 0; si < scales.size(); ++si) {
+    const std::string& scale = scales[si];
     for (const double load : loads) {
       for (const std::int32_t threads : thread_counts) {
-      SimParams p = presets::by_name(scale);
-      p.routing.kind = routing;
-      p.traffic.kind = traffic;
+      SimParams p = bases[si];
       p.traffic.load = load;
-      p.seed = seed;
       p.engine.threads = threads;
       const Cycle cycles = cli.get_int("cycles", default_perf_cycles(scale));
 
@@ -669,8 +673,8 @@ int cmd_perf(const CliOptions& cli) {
 
   Json doc = Json::object();
   doc.set("schema", "dfsim-bench-engine/v1");
-  doc.set("routing", to_string(routing));
-  doc.set("traffic", to_string(traffic));
+  doc.set("routing", to_string(bases.front().routing.kind));
+  doc.set("traffic", to_string(bases.front().traffic.kind));
   doc.set("warmup", static_cast<std::int64_t>(warmup));
   doc.set("points", points);
   if (phases) doc.set("phase_profiled", true);
