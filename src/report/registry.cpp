@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <ranges>
 #include <stdexcept>
 
 #include "engine/experiment.hpp"
@@ -31,36 +32,30 @@ std::vector<RoutingKind> with_val_first(std::vector<RoutingKind> lineup) {
   return lineup;
 }
 
-/// Companion-topology shapes per --scale (the dragonfly presets do not
-/// apply; these keep node counts in the same ballpark per scale step).
-SimParams fbfly_base_for(const std::string& scale) {
-  if (scale == "tiny") return presets::fbfly(3, 2, 2);
-  if (scale == "small") return presets::fbfly(4, 2, 2);
-  if (scale == "medium") return presets::fbfly(4, 2, 4);
-  if (scale == "paper") return presets::fbfly(8, 2, 8);
-  throw std::invalid_argument("unknown scale '" + scale + "'");
+/// The scales Table I lists, largest first: every row but exa, the
+/// engine-scaling target the registry does not reproduce at.
+auto table_scales() {
+  return presets::scales() | std::views::reverse |
+         std::views::filter([](const auto& s) { return s.fbfly.has_value(); });
 }
 
-SimParams torus_base_for(const std::string& scale) {
-  if (scale == "tiny") return presets::torus(4, 2, 2);
-  if (scale == "small") return presets::torus(6, 2, 2);
-  if (scale == "medium") return presets::torus(8, 2, 2);
-  if (scale == "paper") return presets::torus(16, 2, 4);
-  throw std::invalid_argument("unknown scale '" + scale + "'");
+/// The instrumented experiments read one simulator's state, so they run
+/// on one shard whatever engine.threads asks, and `panel` says so.
+void run_serially(RunContext& ctx, Panel& panel, const char* instrument) {
+  if (ctx.base.engine.threads == 1) return;
+  ctx.base.engine.threads = 1;
+  panel.notes.push_back(std::string("ran serially (engine.threads = 1): the ") +
+                        instrument + " reads one simulator's state.");
 }
 
-/// Re-bases a companion-topology context on the topology's own per-scale
-/// preset. When the user already selected this topology themselves
-/// (`--set=topology=fbfly;fbfly.k=5...` or a --config file), their fully
-/// configured base is kept instead — rebasing would silently discard those
-/// overrides. The seed and the traffic keys carry over (presets leave
-/// traffic at its defaults).
-RunContext rebase(RunContext ctx, SimParams base) {
-  if (ctx.base.topology == base.topology) return ctx;
-  base.seed = ctx.base.seed;
-  base.traffic = ctx.base.traffic;
-  ctx.base = std::move(base);
-  return ctx;
+/// A figure's panel keeps the paper's name while the figure's own pattern
+/// runs, else it is named after the traffic that ran.
+std::string pattern_panel(const TrafficParams& traffic, TrafficKind kind,
+                          std::int32_t adv_offset, const char* paper_name) {
+  return traffic.kind == kind && (kind != TrafficKind::kAdversarial ||
+                                  traffic.adv_offset == adv_offset)
+             ? paper_name
+             : traffic_label(traffic);
 }
 
 /// A load as transient panel names print it: "0.2", "0.37".
@@ -78,11 +73,11 @@ Panel ectn_estimate_panel(const std::string& name) {
   panel.kind = Panel::Kind::kInfo;
   panel.columns = {"preset", "counters", "bits/counter", "phits/update",
                    "bandwidth_pct"};
-  for (const char* preset : {"paper", "medium", "small", "tiny"}) {
-    SimParams p = presets::by_name(preset);
+  for (const presets::Scale& row : table_scales()) {
+    SimParams p = row.dragonfly();
     p.routing.kind = RoutingKind::kCbEctn;
     const EctnOverheadEstimate est = estimate_ectn_overhead(p);
-    panel.cells.push_back({preset, std::to_string(est.counters),
+    panel.cells.push_back({row.name, std::to_string(est.counters),
                            std::to_string(est.bits_per_counter),
                            format_fixed(est.phits, 1),
                            format_fixed(100.0 * est.bandwidth_fraction, 1)});
@@ -96,20 +91,20 @@ Panel ectn_estimate_panel(const std::string& name) {
 // -------------------------------------------------------------------------
 // Steady-state figures
 
-ResultsDoc run_fig5a(RunContext ctx) {
+ResultsDoc run_fig5a(RunContext& ctx) {
   ctx.base.traffic.kind =
       ctx.user_or(ctx.base.traffic.kind, TrafficKind::kUniform);
   const auto mechanisms = ctx.lineup_or(with_min_first(adaptive_lineup()));
   const auto loads =
       ctx.loads_or({0.05, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9});
   ResultsDoc doc;
-  doc.panels.push_back(run_load_grid("UN", ctx.base, mechanisms, loads,
-                                     ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
+  doc.panels.push_back(run_load_grid(
+      pattern_panel(ctx.base.traffic, TrafficKind::kUniform, 0, "UN"),
+      ctx.base, mechanisms, loads, ctx.options, ctx.threads));
   return doc;
 }
 
-ResultsDoc run_fig5b(RunContext ctx) {
+ResultsDoc run_fig5b(RunContext& ctx) {
   ctx.base.traffic.kind =
       ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
   // MIN rides along (the old bench dropped it): its collapse on the single
@@ -118,13 +113,13 @@ ResultsDoc run_fig5b(RunContext ctx) {
       ctx.lineup_or(with_min_first(with_val_first(adaptive_lineup())));
   const auto loads = ctx.loads_or({0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45});
   ResultsDoc doc;
-  doc.panels.push_back(run_load_grid("ADV+1", ctx.base, mechanisms, loads,
-                                     ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
+  doc.panels.push_back(run_load_grid(
+      pattern_panel(ctx.base.traffic, TrafficKind::kAdversarial, 1, "ADV+1"),
+      ctx.base, mechanisms, loads, ctx.options, ctx.threads));
   return doc;
 }
 
-ResultsDoc run_fig5c(RunContext ctx) {
+ResultsDoc run_fig5c(RunContext& ctx) {
   ctx.base.traffic.kind =
       ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
   ctx.base.traffic.adv_offset =
@@ -132,13 +127,14 @@ ResultsDoc run_fig5c(RunContext ctx) {
   const auto mechanisms = ctx.lineup_or(with_val_first(adaptive_lineup()));
   const auto loads = ctx.loads_or({0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45});
   ResultsDoc doc;
-  doc.panels.push_back(run_load_grid("ADV+h", ctx.base, mechanisms, loads,
-                                     ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
+  doc.panels.push_back(run_load_grid(
+      pattern_panel(ctx.base.traffic, TrafficKind::kAdversarial,
+                    ctx.base.topo.h, "ADV+h"),
+      ctx.base, mechanisms, loads, ctx.options, ctx.threads));
   return doc;
 }
 
-ResultsDoc run_fig6(RunContext ctx) {
+ResultsDoc run_fig6(RunContext& ctx) {
   const double load = ctx.user_or(ctx.base.traffic.load, 0.35);
   const auto mechanisms = ctx.lineup_or(adaptive_lineup());
   std::vector<GridTick> ticks;
@@ -155,7 +151,6 @@ ResultsDoc run_fig6(RunContext ctx) {
   doc.panels.push_back(run_grid_panel(
       "mixed@" + format_fixed(load, 2), "pct_UN", ctx.base, ticks,
       mechanism_series(mechanisms), ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
@@ -178,29 +173,28 @@ TransientOptions un_to_adv_switch(const RunContext& ctx, Cycle pre,
 }
 
 std::vector<TransientSeries> mechanism_transient_series(
-    const RunContext& ctx, const std::vector<RoutingKind>& mechanisms) {
+    const SimParams& base, const std::vector<RoutingKind>& mechanisms) {
   std::vector<TransientSeries> series;
   for (const RoutingKind kind : mechanisms) {
-    SimParams p = ctx.base;
+    SimParams p = base;
     p.routing.kind = kind;
     series.push_back(TransientSeries{to_string(kind), p});
   }
   return series;
 }
 
-ResultsDoc run_fig7(RunContext ctx) {
+ResultsDoc run_fig7(RunContext& ctx) {
   ctx.options.reps = ctx.reps_or(5);
   const TransientOptions topt = un_to_adv_switch(ctx, 50, 250);
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
       "UN->ADV+1@" + load_label(topt.after.load),
-      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())),
+      mechanism_transient_series(ctx.base, ctx.lineup_or(adaptive_lineup())),
       ctx.options, topt, /*step=*/10, /*window=*/10));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_fig8(RunContext ctx) {
+ResultsDoc run_fig8(RunContext& ctx) {
   // Large buffers (Figure 8 caption): 256/2048 phits per VC.
   auto& router = ctx.base.router;
   router.buf_local_phits = ctx.user_or(router.buf_local_phits, 256);
@@ -210,29 +204,28 @@ ResultsDoc run_fig8(RunContext ctx) {
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
       "UN->ADV+1@" + load_label(topt.after.load) + " large-buffers",
-      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())),
+      mechanism_transient_series(ctx.base, ctx.lineup_or(adaptive_lineup())),
       ctx.options, topt, /*step=*/50, /*window=*/25));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_fig9(RunContext ctx) {
+ResultsDoc run_fig9(RunContext& ctx) {
   ctx.options.reps = ctx.reps_or(5);
   const TransientOptions topt = un_to_adv_switch(ctx, 0, 1600);
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
       "UN->ADV+1@" + load_label(topt.after.load) + " long",
       mechanism_transient_series(
-          ctx, ctx.lineup_or({RoutingKind::kPiggyback, RoutingKind::kCbEctn})),
+          ctx.base,
+          ctx.lineup_or({RoutingKind::kPiggyback, RoutingKind::kCbEctn})),
       ctx.options, topt, /*step=*/25, /*window=*/25));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 // -------------------------------------------------------------------------
 // Figure 10 + Section VI ablations
 
-ResultsDoc run_fig10(RunContext ctx) {
+ResultsDoc run_fig10(RunContext& ctx) {
   const std::int32_t nominal = ctx.base.routing.contention_threshold;
   std::vector<std::int32_t> un_ths;
   std::vector<std::int32_t> adv_ths;
@@ -271,11 +264,10 @@ ResultsDoc run_fig10(RunContext ctx) {
   doc.panels.push_back(panel("ADV+1", TrafficKind::kAdversarial, adv_ths,
                              ctx.loads_or({0.1, 0.2, 0.3, 0.4, 0.45}),
                              RoutingKind::kValiant));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_radix_range(RunContext ctx) {
+ResultsDoc run_ablation_radix_range(RunContext& ctx) {
   const double un_load = 0.80;
   const double adv_load = 0.30;
   const double un_tolerance = 0.97;
@@ -357,11 +349,10 @@ ResultsDoc run_ablation_radix_range(RunContext ctx) {
                 : "valid threshold range: none at these tolerances");
     doc.panels.push_back(std::move(panel));
   }
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
+ResultsDoc run_ablation_ectn_overhead(RunContext& ctx) {
   constexpr std::int32_t kPhitBits = 80;  // 10-byte phits (Section IV-B)
   const std::int32_t async_mult = 4;
   const std::int32_t urgent_delta = 4;
@@ -386,6 +377,7 @@ ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
   measured.kind = Panel::Kind::kGrid;
   measured.x_label = "scenario";
   measured.series = {"ECtN"};
+  run_serially(ctx, measured, "ECtN overhead monitor");
   std::vector<std::vector<std::vector<double>>> columns(7);
   for (const Scenario& sc : scenarios) {
     SimParams p = ctx.base;
@@ -425,11 +417,10 @@ ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
       "x the period and falls back to urgent (id,value) messages on abrupt "
       "changes.");
   doc.panels.push_back(std::move(measured));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_minpath(RunContext ctx) {
+ResultsDoc run_ablation_minpath(RunContext& ctx) {
   const std::vector<double> loads = ctx.loads_or({0.20, 0.30, 0.40});
   struct Variant {
     const char* name;
@@ -459,11 +450,10 @@ ResultsDoc run_ablation_minpath(RunContext ctx) {
   doc.panels.push_back(run_grid_panel("ADV+1 (Base)", "load", ctx.base,
                                       load_ticks(loads), series, ctx.options,
                                       ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_misrouting(RunContext ctx) {
+ResultsDoc run_ablation_misrouting(RunContext& ctx) {
   struct Variant {
     const char* name;
     GlobalMisroutePolicy policy;
@@ -497,11 +487,10 @@ ResultsDoc run_ablation_misrouting(RunContext ctx) {
   doc.panels.push_back(panel("ADV+1 (source-group funnel)", 1));
   doc.panels.push_back(
       panel("ADV+h (intermediate-group local funnel)", ctx.base.topo.h));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_workloads(RunContext ctx) {
+ResultsDoc run_ablation_workloads(RunContext& ctx) {
   const double load = ctx.user_or(ctx.base.traffic.load, 0.30);
   const auto mechanisms = ctx.lineup_or(
       {RoutingKind::kMin, RoutingKind::kUgalL, RoutingKind::kPiggyback,
@@ -551,15 +540,13 @@ ResultsDoc run_ablation_workloads(RunContext ctx) {
   doc.panels.push_back(run_grid_panel(
       "patterns@" + format_fixed(load, 2), "pattern", ctx.base, ticks,
       mechanism_series(mechanisms), ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 // -------------------------------------------------------------------------
 // Companion topologies (Section VI-D + torus)
 
-ResultsDoc run_ablation_fbfly(RunContext outer) {
-  RunContext ctx = rebase(outer, fbfly_base_for(outer.scale));
+ResultsDoc run_ablation_fbfly(RunContext& ctx) {
   const auto mechanisms =
       ctx.lineup_or({RoutingKind::kMin, RoutingKind::kValiant,
                      RoutingKind::kUgalL, RoutingKind::kCbBase});
@@ -579,12 +566,10 @@ ResultsDoc run_ablation_fbfly(RunContext outer) {
   doc.panels.push_back(run_load_grid(
       "ADJ", adj, mechanisms, ctx.loads_or({0.1, 0.2, 0.3, 0.4, 0.5, 0.6}),
       ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
-  RunContext ctx = rebase(outer, fbfly_base_for(outer.scale));
+ResultsDoc run_ablation_fbfly_transient(RunContext& ctx) {
   ctx.options.reps = ctx.reps_or(3);
   const double load = ctx.user_or(ctx.base.traffic.load, 0.3);
 
@@ -601,19 +586,20 @@ ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
   };
   std::vector<TransientSeries> series;
   for (const Variant& v : variants) {
-    SimParams p = presets::fbfly(ctx.base.fbfly.k, ctx.base.fbfly.n,
-                                 ctx.base.fbfly.c, v.buf);
+    SimParams p = ctx.base;
+    p.router.buf_local_phits = v.buf;
+    p.router.buf_global_phits = v.buf;
     p.routing.kind = v.routing;
-    p.seed = ctx.base.seed;
     series.push_back(TransientSeries{v.name, p});
   }
 
   TransientOptions topt;
+  topt.before = ctx.base.traffic;
   topt.before.kind = TrafficKind::kUniform;
   topt.before.load = load;
+  topt.after = topt.before;
   topt.after.kind = TrafficKind::kAdversarial;  // the FB row adversary
   topt.after.adv_offset = 1;
-  topt.after.load = load;
   topt.pre = 25;
   topt.post = 350;
 
@@ -621,12 +607,10 @@ ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
   doc.panels.push_back(run_transient_panel("UN->ADJ@" + load_label(load),
                                            series, ctx.options, topt,
                                            /*step=*/25, /*window=*/25));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_ablation_torus(RunContext outer) {
-  RunContext ctx = rebase(outer, torus_base_for(outer.scale));
+ResultsDoc run_ablation_torus(RunContext& ctx) {
   const auto mechanisms = ctx.lineup_or(
       {RoutingKind::kMin, RoutingKind::kValiant, RoutingKind::kUgalL,
        RoutingKind::kPiggyback, RoutingKind::kCbBase, RoutingKind::kCbHybrid});
@@ -660,14 +644,13 @@ ResultsDoc run_ablation_torus(RunContext outer) {
                       " phits/node/cycle — MIN flatlines there, the "
                       "nonminimal mechanisms climb past it");
   doc.panels.push_back(std::move(tor));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 // -------------------------------------------------------------------------
 // Fault overlay (beyond the paper)
 
-ResultsDoc run_fault_degradation(RunContext ctx) {
+ResultsDoc run_fault_degradation(RunContext& ctx) {
   ctx.base.traffic.kind =
       ctx.user_or(ctx.base.traffic.kind, TrafficKind::kUniform);
   ctx.base.traffic.load = ctx.user_or(ctx.base.traffic.load, 0.30);
@@ -692,11 +675,10 @@ ResultsDoc run_fault_degradation(RunContext ctx) {
       "UN@" + format_fixed(ctx.base.traffic.load, 2) + " dead global links",
       "fail_fraction", ctx.base, ticks,
       mechanism_series(mechanisms), ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
-ResultsDoc run_fault_transient(RunContext ctx) {
+ResultsDoc run_fault_transient(RunContext& ctx) {
   ctx.options.reps = ctx.reps_or(5);
   const double load = ctx.user_or(ctx.base.traffic.load, 0.30);
   const Cycle pre = 50;
@@ -713,44 +695,34 @@ ResultsDoc run_fault_transient(RunContext ctx) {
   topt.pre = pre;
   topt.post = post;
 
-  std::vector<TransientSeries> series;
-  for (const RoutingKind kind :
-       ctx.lineup_or({RoutingKind::kCbBase, RoutingKind::kOlm,
-                      RoutingKind::kPiggyback})) {
-    SimParams p = presets::with_link_faults(ctx.base, 0.25, "global",
-                                            ctx.options.warmup + pre);
-    p.routing.kind = kind;
-    series.push_back(TransientSeries{to_string(kind), p});
-  }
+  const std::vector<TransientSeries> series = mechanism_transient_series(
+      presets::with_link_faults(ctx.base, 0.25, "global",
+                                ctx.options.warmup + pre),
+      ctx.lineup_or(
+          {RoutingKind::kCbBase, RoutingKind::kOlm, RoutingKind::kPiggyback}));
 
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
       "UN@" + load_label(load) + " global faults at t=0", series, ctx.options,
       topt, /*step=*/10, /*window=*/10));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
 // -------------------------------------------------------------------------
 // Notification family (ARN): adaptation speed and sustained throughput.
 
-ResultsDoc run_notification_transient(RunContext ctx) {
+ResultsDoc run_notification_transient(RunContext& ctx) {
   ctx.base.traffic.kind =
       ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
-  SteadyOptions transient_options = ctx.options;
-  transient_options.reps = ctx.reps_or(5);
+  const SteadyOptions steady_options = ctx.options;
+  ctx.options.reps = ctx.reps_or(5);
   const TransientOptions topt = un_to_adv_switch(ctx, 50, 250);
 
   // Transient panel: the counter trigger (Base) and the credit trigger
   // (PB) frame the notification family's adaptation speed; the throttle
   // variant rides along to show refusal does not stall recovery.
-  std::vector<TransientSeries> series;
-  for (const RoutingKind kind :
-       ctx.lineup_or({RoutingKind::kCbBase, RoutingKind::kPiggyback})) {
-    SimParams p = ctx.base;
-    p.routing.kind = kind;
-    series.push_back(TransientSeries{to_string(kind), p});
-  }
+  std::vector<TransientSeries> series = mechanism_transient_series(
+      ctx.base, ctx.lineup_or({RoutingKind::kCbBase, RoutingKind::kPiggyback}));
   {
     SimParams p = ctx.base;
     p.routing.kind = RoutingKind::kArn;
@@ -762,8 +734,8 @@ ResultsDoc run_notification_transient(RunContext ctx) {
 
   ResultsDoc doc;
   doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@" + load_label(topt.after.load), series, transient_options,
-      topt, /*step=*/10, /*window=*/10));
+      "UN->ADV+1@" + load_label(topt.after.load), series, ctx.options, topt,
+      /*step=*/10, /*window=*/10));
 
   // Steady ADV+1 panel for the throughput gates: VAL is the 0.5-bound
   // reference the notification family must not fall under at saturating
@@ -785,22 +757,22 @@ ResultsDoc run_notification_transient(RunContext ctx) {
                               }});
   doc.panels.push_back(run_grid_panel(
       "ADV+1 steady", "load", ctx.base,
-      load_ticks(ctx.loads_or({0.1, 0.2, 0.3, 0.4})), steady, ctx.options,
+      load_ticks(ctx.loads_or({0.1, 0.2, 0.3, 0.4})), steady, steady_options,
       ctx.threads));
-  fill_header(doc, ctx, transient_options.reps);
   return doc;
 }
 
 // -------------------------------------------------------------------------
 // Observability: backlog formation through the spatial telemetry sink.
 
-ResultsDoc run_congestion_map(RunContext ctx) {
+ResultsDoc run_congestion_map(RunContext& ctx) {
   ctx.base.traffic.kind =
       ctx.user_or(ctx.base.traffic.kind, TrafficKind::kAdversarial);
   ctx.base.traffic.load =
       ctx.loads_or({ctx.user_or(ctx.base.traffic.load, 0.30)}).front();
   const std::vector<RoutingKind> mechanisms = ctx.lineup_or(
       {RoutingKind::kMin, RoutingKind::kCbBase, RoutingKind::kCbEctn});
+  ctx.options.reps = 1;
 
   // ~24 frames across the whole run, warmup included: the backlog builds
   // during warmup and the map should show it building, not just built.
@@ -813,6 +785,7 @@ ResultsDoc run_congestion_map(RunContext ctx) {
   summary.kind = Panel::Kind::kGrid;
   summary.x_label = "mechanism";
   summary.series = {"network"};
+  run_serially(ctx, summary, "telemetry sink");
   std::vector<std::vector<std::vector<double>>> cols(5);
 
   for (const RoutingKind kind : mechanisms) {
@@ -872,18 +845,13 @@ ResultsDoc run_congestion_map(RunContext ctx) {
         "credit_stalls", group_rows([&](std::int32_t f, RouterId r) {
           return static_cast<double>(sink.credit_stalls(f, r));
         }));
-    doc.panels.push_back(std::move(panel));
 
     // Summary row: the worst group's peak backlog is the headline number.
     double peak = 0.0;
-    for (std::int32_t f = 0; f < frames; ++f) {
-      std::vector<double> group_occ(static_cast<std::size_t>(groups), 0.0);
-      for (RouterId r = 0; r < sink.routers(); ++r) {
-        group_occ[static_cast<std::size_t>(r / ga)] +=
-            static_cast<double>(sink.occupancy(f, r));
-      }
-      for (const double occ : group_occ) peak = std::max(peak, occ);
+    for (const std::vector<double>& row : panel.metrics.front().second) {
+      for (const double occ : row) peak = std::max(peak, occ);
     }
+    doc.panels.push_back(std::move(panel));
     summary.x_labels.push_back(to_string(kind));
     summary.x_values.push_back(kNaN);
     cols[0].push_back({sim.metrics().mean_latency()});
@@ -903,24 +871,25 @@ ResultsDoc run_congestion_map(RunContext ctx) {
       "its single direct channel; the counter mechanisms divert onto "
       "intermediate groups and the peak flattens.");
   doc.panels.push_back(std::move(summary));
-  fill_header(doc, ctx, 1);
   return doc;
 }
 
 // -------------------------------------------------------------------------
 // Table I
 
-ResultsDoc run_table1(RunContext ctx) {
-  const SimParams presets_list[4] = {presets::paper(), presets::medium(),
-                                     presets::small(), presets::tiny()};
-
+ResultsDoc run_table1(RunContext& /*ctx*/) {
   Panel table;
   table.name = "configuration presets";
   table.kind = Panel::Kind::kInfo;
-  table.columns = {"parameter", "paper", "medium", "small", "tiny"};
+  table.columns = {"parameter"};
+  for (const presets::Scale& scale : table_scales()) {
+    table.columns.push_back(scale.name);
+  }
   auto row = [&](const std::string& name, auto getter) {
     std::vector<std::string> cells{name};
-    for (const SimParams& p : presets_list) cells.push_back(getter(p));
+    for (const presets::Scale& s : table_scales()) {
+      cells.push_back(getter(s.dragonfly()));
+    }
     table.cells.push_back(std::move(cells));
   };
   auto str = [](auto v) { return std::to_string(v); };
@@ -971,7 +940,6 @@ ResultsDoc run_table1(RunContext ctx) {
   doc.panels.push_back(std::move(table));
   doc.panels.push_back(
       ectn_estimate_panel("ECtN partial-broadcast overhead estimate"));
-  fill_header(doc, ctx, ctx.options.reps);
   return doc;
 }
 
@@ -983,36 +951,37 @@ ResultsDoc run_table1(RunContext ctx) {
 const std::vector<ExperimentSpec>& experiment_registry() {
   static const std::vector<ExperimentSpec> kRegistry{
       {"table1", "Table I — simulation parameters (presets)", "Table I",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "The paper's exact configuration plus the scaled presets, with the "
        "Section VI-B analytic ECtN broadcast-overhead estimate per preset.",
        run_table1},
-      {"fig5a", "Figure 5a — uniform traffic (UN)", "Fig. 5a", "dragonfly",
+      {"fig5a", "Figure 5a — uniform traffic (UN)", "Fig. 5a",
+       TopologyKind::kDragonfly,
        "MIN sets the latency floor; Base and ECtN match it before "
        "congestion; Hybrid sits between MIN and OLM; PB/OLM pay a latency "
        "premium for credit-triggered misrouting. Peak throughput: Hybrid "
        "highest, Base/ECtN close to OLM, all above MIN.",
        run_fig5a},
       {"fig5b", "Figure 5b — adversarial traffic (ADV+1)", "Fig. 5b",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "VAL is the reference (saturates at 0.5); MIN collapses on the "
        "single inter-group link; OLM/Base/Hybrid/ECtN all reach the Valiant "
        "throughput bound, with ECtN obtaining the best latency thanks to "
        "injection-time misrouting from combined counters.",
        run_fig5b},
       {"fig5c", "Figure 5c — adversarial traffic (ADV+h)", "Fig. 5c",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "The pathological pattern that additionally saturates local links in "
        "the intermediate group, exercising local misrouting: same ordering "
        "as ADV+1 but VAL/PB closer to the adaptive mechanisms.",
        run_fig5c},
       {"fig6", "Figure 6 — mixed ADV+1/UN traffic at 35% load", "Fig. 6",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "Average latency as the UN share sweeps 0..100%: contention counters "
        "stay competitive with OLM at every blend; ECtN clearly the best.",
        run_fig6},
       {"fig7", "Figure 7 — transient UN->ADV+1, small buffers", "Fig. 7",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "Traffic switches UN->ADV+1 at t=0 under load 0.2. Base/Hybrid adapt "
        "within ~10 cycles; OLM and PB need ~100 (credits must fill); ECtN "
        "follows Base until the next partial broadcast, then misroutes "
@@ -1020,39 +989,39 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "~100% after for the counter-based mechanisms.",
        run_fig7},
       {"fig8", "Figure 8 — transient UN->ADV+1, large buffers", "Fig. 8",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "Same transient with 256/2048-phit VC buffers: the credit-based "
        "mechanisms adapt far more slowly (deeper buffers must fill before "
        "credits signal congestion) while the contention-based response "
        "stays put — buffer size is decoupled from the trigger.",
        run_fig8},
       {"fig9", "Figure 9 — oscillations after UN->ADV+1, PB vs ECtN",
-       "Fig. 9", "dragonfly",
+       "Fig. 9", TopologyKind::kDragonfly,
        "PB's delayed ECN control loop oscillates with a ~500-cycle decaying "
        "period; ECtN converges to a flat latency because contention does "
        "not depend on the routing decision.",
        run_fig9},
       {"fig10", "Figure 10 — Base threshold sensitivity", "Fig. 10",
-       "dragonfly",
+       TopologyKind::kDragonfly,
        "Low thresholds penalize UN (spurious misrouting); high thresholds "
        "penalize ADV+1 (late misrouting). A valid middle band exists around "
        "2x the average number of VCs per input port.",
        run_fig10},
       {"ablation_radix_range", "Section VI-A — valid threshold range vs radix",
-       "Sec. VI-A", "dragonfly",
+       "Sec. VI-A", TopologyKind::kDragonfly,
        "Sweeps the misrouting threshold across router radixes: the valid "
        "window (UN throughput preserved AND ADV latency near the best) "
        "should widen with the radix, the paper's closing Section VI-A "
        "remark.",
        run_ablation_radix_range},
       {"ablation_ectn_overhead", "Section VI-B — ECtN broadcast overhead",
-       "Sec. VI-B", "dragonfly",
+       "Sec. VI-B", TopologyKind::kDragonfly,
        "The paper's analytic full-array estimate reproduced per preset, "
        "plus the measured wire cost of the alternative encodings (nonempty-"
        "with-id, incremental, asynchronous) on live traffic.",
        run_ablation_ectn_overhead},
       {"ablation_minpath", "Section VI-C — minimal-path usage under ADV+1",
-       "Sec. VI-C", "dragonfly",
+       "Sec. VI-C", TopologyKind::kDragonfly,
        "With a fixed threshold and heavy ADV load nearly all adaptive "
        "traffic diverts nonminimally. The paper's two un-evaluated "
        "remedies — in-order traffic pinned to the minimal path, and a "
@@ -1060,14 +1029,14 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "threshold — re-fill the minimal path at a quantified cost.",
        run_ablation_minpath},
       {"ablation_misrouting", "Section V — misrouting policy ablation",
-       "Sec. V", "dragonfly",
+       "Sec. V", TopologyKind::kDragonfly,
        "MM+L vs CRG global candidates and opportunistic local misrouting "
        "on/off, isolated on Base: CRG squeezes the source-group funnel "
        "through h-1 spare links; disabling local misrouting costs latency "
        "exactly where ADV+h funnels intermediate-group traffic.",
        run_ablation_misrouting},
       {"ablation_workloads", "Workload ablation — mechanisms x traffic models",
-       "beyond the paper", "dragonfly",
+       "beyond the paper", TopologyKind::kDragonfly,
        "The routing line-up across the traffic/ subsystem's patterns "
        "(permutations, hotspot, bursty layers) at load 0.3: group-crossing "
        "permutations funnel groups onto few global channels so MIN "
@@ -1075,7 +1044,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "and the bursty layers separate mechanisms mostly in the p99 tail.",
        run_ablation_workloads},
       {"ablation_fbfly", "Section VI-D — flattened butterfly steady state",
-       "Sec. VI-D", "fbfly",
+       "Sec. VI-D", TopologyKind::kFbfly,
        "Contention counters on a second topology (k-ary n-flat, DOR "
        "minimal): under UN, CB matches MIN's optimal latency with zero "
        "misrouting; under the row adversary ADJ, MIN caps at the single "
@@ -1084,13 +1053,13 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        run_ablation_fbfly},
       {"ablation_fbfly_transient",
        "Section VI-D x Fig. 7/8 — FB trigger adaptation speed", "Sec. VI-D",
-       "fbfly",
+       TopologyKind::kFbfly,
        "UN -> row-adversary switch at t=0 on the flattened butterfly: the "
        "queue trigger (UGAL-L) adapts slower as buffers deepen (b8 vs b32) "
        "while the counter trigger (Base) keeps the same fast response.",
        run_ablation_fbfly_transient},
       {"ablation_torus", "Torus — trigger line-up under UN + tornado",
-       "beyond the paper", "torus",
+       "beyond the paper", TopologyKind::kTorus,
        "k-ary n-cube through the same engine: under TORNADO minimal DOR "
        "flatlines at the one-direction ring cap 1/(c*k/2) while UGAL-L and "
        "the contention triggers recover nonminimal bandwidth; under UN "
@@ -1098,7 +1067,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        run_ablation_torus},
       {"fault_degradation",
        "Fault overlay — throughput/latency vs dead global links",
-       "beyond the paper", "dragonfly",
+       "beyond the paper", TopologyKind::kDragonfly,
        "Uniform traffic at 0.3 load while a growing fraction of global "
        "links is dead from cycle 0: MIN loses the failed direct routes and "
        "degrades, the adaptive mechanisms route around the holes and retain "
@@ -1107,7 +1076,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        run_fault_degradation},
       {"fault_transient",
        "Fault overlay — trigger response to a fault onset",
-       "beyond the paper", "dragonfly",
+       "beyond the paper", TopologyKind::kDragonfly,
        "Figure-7 machinery with the traffic switch replaced by a fault "
        "onset: 15% of global links die at t=0 under steady uniform load. "
        "The contention-counter trigger (Base) reacts to the redistributed "
@@ -1116,7 +1085,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        run_fault_transient},
       {"notification_transient",
        "ARN — congestion-notification response to an ADV+1 onset",
-       "beyond the paper", "dragonfly",
+       "beyond the paper", TopologyKind::kDragonfly,
        "The adaptive-routing-notification family (arXiv 2502.00616; "
        "throttle variant arXiv 2502.00597) on Figure-7 machinery: routers "
        "over the notify.threshold occupancy broadcast notifications that go "
@@ -1129,7 +1098,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        run_notification_transient},
       {"congestion_map",
        "Observability — per-group backlog formation under ADV+1",
-       "beyond the paper", "dragonfly",
+       "beyond the paper", TopologyKind::kDragonfly,
        "Spatial telemetry (per-router occupancy, misroute decisions, credit "
        "stalls, aggregated per group) sampled across warmup + measurement "
        "under ADV+1: MIN queues every group behind its single direct "
@@ -1147,35 +1116,46 @@ const ExperimentSpec* find_experiment(const std::string& name) {
   return nullptr;
 }
 
-void fill_header(ResultsDoc& doc, const RunContext& ctx, std::int32_t reps) {
-  Header& h = doc.header;
-  h.topology = to_string(ctx.base.topology);
-  h.scale = ctx.scale;
-  h.nodes = ctx.base.nodes();
-  h.config_hash = config_hash(ctx.base);
-  h.engine_threads = ctx.base.engine.threads;
-  if (h.engine_threads != 1) {
-    SimParams serial = ctx.base;
-    serial.engine.threads = 1;
-    h.config_hash_serial = config_hash(serial);
-  }
-  h.seed = ctx.base.seed;
-  h.warmup = ctx.options.warmup;
-  h.measure = ctx.options.measure;
-  h.reps = reps;
-}
-
 ResultsDoc run_experiment(const ExperimentSpec& spec, const RunContext& ctx) {
+  RunContext run_ctx = ctx;
+  // A companion-topology experiment on another topology's base moves to its
+  // own preset at the scale: the seed carries over and every user assignment
+  // but `topology` is applied again on top. A base that already selects the
+  // topology (`--set=topology=fbfly;fbfly.k=5`) is kept as it is.
+  if (spec.topology != TopologyKind::kDragonfly &&
+      ctx.base.topology != spec.topology) {
+    run_ctx.base = presets::preset_for(ctx.scale, spec.topology);
+    run_ctx.base.seed = ctx.base.seed;
+    for (const auto& [key, value] : ctx.assignments) {
+      if (key != "topology") apply_param(run_ctx.base, key, value);
+    }
+  }
   ResultsDoc doc;
   try {
-    doc = spec.run(ctx);
+    doc = spec.run(run_ctx);
   } catch (const std::runtime_error& e) {  // a stalled run, among others
     throw std::runtime_error(std::string(spec.name) + ": " + e.what());
   }
-  doc.header.schema = kSchemaVersion;
-  doc.header.experiment = spec.name;
-  doc.header.title = spec.title;
-  doc.header.paper_ref = spec.paper_ref;
+  Header& h = doc.header;
+  h.schema = kSchemaVersion;
+  h.experiment = spec.name;
+  h.title = spec.title;
+  h.paper_ref = spec.paper_ref;
+  // The rest from the context the experiment ran with.
+  h.topology = to_string(run_ctx.base.topology);
+  h.scale = run_ctx.scale;
+  h.nodes = run_ctx.base.nodes();
+  h.config_hash = config_hash(run_ctx.base);
+  h.engine_threads = run_ctx.base.engine.threads;
+  if (h.engine_threads != 1) {
+    SimParams serial = run_ctx.base;
+    serial.engine.threads = 1;
+    h.config_hash_serial = config_hash(serial);
+  }
+  h.seed = run_ctx.base.seed;
+  h.warmup = run_ctx.options.warmup;
+  h.measure = run_ctx.options.measure;
+  h.reps = run_ctx.options.reps;
   return doc;
 }
 

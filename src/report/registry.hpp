@@ -17,9 +17,9 @@ struct ExperimentSpec {
   const char* name;       // registry key: "fig5a", "ablation_torus", ...
   const char* title;      // figure title used in headers and RESULTS.md
   const char* paper_ref;  // "Fig. 5a", "Sec. VI-B", "beyond the paper"
-  const char* topology;   // "dragonfly" | "fbfly" | "torus"
+  TopologyKind topology;  // fbfly/torus: see run_experiment
   const char* description;  // expectations commentary rendered in RESULTS.md
-  ResultsDoc (*run)(RunContext ctx);
+  ResultsDoc (*run)(RunContext& ctx);  // leaves in ctx what it ran with
 };
 
 /// All registered experiments, in paper order.
@@ -28,13 +28,10 @@ struct ExperimentSpec {
 /// nullptr when `name` is not registered.
 [[nodiscard]] const ExperimentSpec* find_experiment(const std::string& name);
 
-/// Runs a spec and stamps the document header (name/title/ref + config hash
-/// + scale + cycle budget) — the only way results documents are produced.
+/// Runs a spec — an fbfly/torus one on its preset at the scale, keeping the
+/// user's assignments — and stamps the document header from the context it
+/// ran with: the only way results documents are produced.
 [[nodiscard]] ResultsDoc run_experiment(const ExperimentSpec& spec,
                                         const RunContext& ctx);
-
-/// Fills the context-dependent header fields from the (possibly mutated)
-/// context an experiment actually ran with.
-void fill_header(ResultsDoc& doc, const RunContext& ctx, std::int32_t reps);
 
 }  // namespace dfsim::report

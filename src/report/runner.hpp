@@ -5,11 +5,12 @@
 // SteadyResult metric captured.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "engine/experiment.hpp"
@@ -38,22 +39,25 @@ struct RunContext {
   /// --with-ugal appends the UGAL-L/UGAL-G extra baselines to whatever
   /// line-up (default or --routings) is in effect.
   bool with_ugal = false;
-  /// Config keys the user set: through --config, --set, or a dfsim_run
-  /// flag that spells a key. An experiment's own defaults never override
-  /// them.
-  std::set<std::string, std::less<>> user_keys;
+  /// The `key = value` assignments the user made, in order, through
+  /// --config, --set, or a dfsim_run flag that spells a key. An
+  /// experiment's own defaults never override them.
+  std::vector<std::pair<std::string, std::string>> assignments;
 
-  /// Applies `key = value` to `base` and records the key as user-set. A
-  /// trace path also sets the pattern (traffic.kind becomes TRACE).
+  /// Applies `key = value` to `base` and records the assignment.
   void set_param(const std::string& key, const std::string& value) {
     apply_param(base, key, value);
-    user_keys.insert(key);
-    if (key == "traffic.trace_path") user_keys.insert("traffic.kind");
+    assignments.emplace_back(key, value);
   }
-  /// Whether the user set the key of `field`, a member of `base`.
+  /// Whether the user set the key of `field`, a member of `base`. A trace
+  /// path also sets the pattern (traffic.kind becomes TRACE).
   template <class T>
   [[nodiscard]] bool user_set(const T& field) const {
-    return user_keys.contains(param_key(base, field));
+    const std::string_view key = param_key(base, field);
+    return std::ranges::any_of(assignments, [key](const auto& set) {
+      return set.first == key ||
+             (key == "traffic.kind" && set.first == "traffic.trace_path");
+    });
   }
   /// An experiment's default for one key: the user's value of `field` (a
   /// member of `base`) when they set its key, else `fallback`. Experiments

@@ -112,14 +112,14 @@ SimParams exa() {
 namespace {
 
 // Shared non-dragonfly baseline: unit packets so `load` is packets/node/
-// cycle, uniform short links, one buffer class.
-SimParams flat_base(std::int32_t buf_packets) {
+// cycle, uniform short links, one buffer class of 16 packets per channel.
+SimParams flat_base() {
   SimParams p;
   p.packet_size_phits = 1;
   p.router.pipeline_cycles = 1;
   p.router.vcs_injection = 1;
-  p.router.buf_local_phits = buf_packets;
-  p.router.buf_global_phits = buf_packets;
+  p.router.buf_local_phits = 16;
+  p.router.buf_global_phits = 16;
   p.router.injection_queue_packets = 512;
   p.link.local_latency = 3;
   p.link.global_latency = 3;
@@ -129,11 +129,10 @@ SimParams flat_base(std::int32_t buf_packets) {
 
 }  // namespace
 
-SimParams fbfly(std::int32_t k, std::int32_t n, std::int32_t c,
-                std::int32_t buf_packets) {
-  SimParams p = flat_base(buf_packets);
+SimParams fbfly(const FbflyParams& shape) {
+  SimParams p = flat_base();
   p.topology = TopologyKind::kFbfly;
-  p.fbfly = FbflyParams{k, n, c};
+  p.fbfly = shape;
   p.router.vcs_local = 2;   // one VC class per Valiant phase
   p.router.vcs_global = 2;
   // Auto threshold: all c injection heads aligned on one channel. The
@@ -141,21 +140,20 @@ SimParams fbfly(std::int32_t k, std::int32_t n, std::int32_t c,
   // injection heads the old forked simulator sampled), so c aligned heads
   // fire reliably under adversarial patterns while random uniform alignment
   // stays very unlikely.
-  p.routing.contention_threshold = std::max(2, c);
+  p.routing.contention_threshold = std::max(2, shape.c);
   p.routing.hybrid_contention_threshold =
       std::max(1, p.routing.contention_threshold / 2);
   p.routing.allow_local_misroute = false;  // no local-detour analogue
   return p;
 }
 
-SimParams torus(std::int32_t k, std::int32_t n, std::int32_t c,
-                std::int32_t buf_packets) {
-  SimParams p = flat_base(buf_packets);
+SimParams torus(const TorusParams& shape) {
+  SimParams p = flat_base();
   p.topology = TopologyKind::kTorus;
-  p.torus = TorusParams{k, n, c};
+  p.torus = shape;
   p.router.vcs_local = 4;   // dateline x Valiant-phase classes
   p.router.vcs_global = 4;
-  p.routing.contention_threshold = std::max(2, c);
+  p.routing.contention_threshold = std::max(2, shape.c);
   p.routing.hybrid_contention_threshold =
       std::max(1, p.routing.contention_threshold / 2);
   p.routing.allow_local_misroute = false;
@@ -171,14 +169,39 @@ SimParams with_link_faults(SimParams base, double fraction,
   return base;
 }
 
-SimParams by_name(const std::string& name) {
-  if (name == "paper") return paper();
-  if (name == "medium") return medium();
-  if (name == "small") return small();
-  if (name == "tiny") return tiny();
-  if (name == "exa") return exa();
-  throw std::invalid_argument("unknown preset/scale: " + name +
-                              " (expected tiny|small|medium|paper|exa)");
+std::span<const Scale> scales() {
+  // name, dragonfly, fbfly {k, n, c}, torus {k, n, c}, warmup, measure,
+  // perf_cycles (exa: ~100k routers, every cycle is costly)
+  static const Scale kScales[] = {
+      {"tiny", tiny, {{3, 2, 2}}, {{4, 2, 2}}, 1000, 2000, 60000},
+      {"small", small, {{4, 2, 2}}, {{6, 2, 2}}, 2000, 3000, 20000},
+      {"medium", medium, {{4, 2, 4}}, {{8, 2, 2}}, 2000, 3000, 8000},
+      {"paper", paper, {{8, 2, 8}}, {{16, 2, 4}}, 5000, 15000, 600},
+      {"exa", exa, {}, {}, 2000, 3000, 200},
+  };
+  return kScales;
+}
+
+const Scale& scale(const std::string& name) {
+  std::string known;
+  for (const Scale& row : scales()) {
+    if (name == row.name) return row;
+    known += known.empty() ? "" : "|";
+    known += row.name;
+  }
+  throw std::invalid_argument("unknown preset/scale: " + name + " (expected " +
+                              known + ")");
+}
+
+SimParams by_name(const std::string& name) { return scale(name).dragonfly(); }
+
+SimParams preset_for(const std::string& name, TopologyKind kind) {
+  const Scale& row = scale(name);
+  if (kind == TopologyKind::kDragonfly) return row.dragonfly();
+  if (kind == TopologyKind::kFbfly && row.fbfly) return fbfly(*row.fbfly);
+  if (kind == TopologyKind::kTorus && row.torus) return torus(*row.torus);
+  throw std::invalid_argument("scale '" + name + "' has no " +
+                              to_string(kind) + " shape");
 }
 
 }  // namespace presets

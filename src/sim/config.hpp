@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "traffic/spec.hpp"
@@ -296,20 +298,37 @@ namespace presets {
 /// engine.threads > 1.
 [[nodiscard]] SimParams exa();
 
-/// Lookup by --scale name; throws std::invalid_argument on unknown names.
+/// One --scale: its dragonfly preset, the shapes the fbfly/torus
+/// experiments run at (node counts in the dragonfly's ballpark; none at
+/// exa, an engine-scaling target), and the default cycle windows.
+struct Scale {
+  const char* name;
+  SimParams (*dragonfly)();
+  std::optional<FbflyParams> fbfly;
+  std::optional<TorusParams> torus;
+  Cycle warmup;       // `run`; tiny's are the golden settings
+  Cycle measure;
+  Cycle perf_cycles;  // `perf`'s timed window: under a second a point
+};
+
+/// Every scale, smallest first.
+[[nodiscard]] std::span<const Scale> scales();
+/// The row named `name`; throws std::invalid_argument on unknown names.
+[[nodiscard]] const Scale& scale(const std::string& name);
+/// The dragonfly preset of `name` (dfsim_run's --scale base).
 [[nodiscard]] SimParams by_name(const std::string& name);
+/// `kind`'s preset at scale `name`; throws naming both when it has none.
+[[nodiscard]] SimParams preset_for(const std::string& name, TopologyKind kind);
 
 /// Flattened-butterfly run on the unified engine: unit packets (load is
-/// packets/node/cycle), 2 phase VCs, per-channel buffering of `buf_packets`,
+/// packets/node/cycle), 2 phase VCs, 16 packets of buffering per channel,
 /// and an auto contention threshold of max(2, c) — all injection heads
 /// aligned (the unified engine's counters see every queue head, unlike the
 /// old forked simulator's injection-only sampling).
-[[nodiscard]] SimParams fbfly(std::int32_t k, std::int32_t n, std::int32_t c,
-                              std::int32_t buf_packets = 16);
+[[nodiscard]] SimParams fbfly(const FbflyParams& shape);
 /// Torus run on the unified engine: 4 VCs (dateline x Valiant phase),
-/// unit packets, uniform per-channel buffering.
-[[nodiscard]] SimParams torus(std::int32_t k, std::int32_t n, std::int32_t c,
-                              std::int32_t buf_packets = 16);
+/// unit packets, 16 packets of buffering per channel.
+[[nodiscard]] SimParams torus(const TorusParams& shape);
 
 /// Overlay helper: permanent failure of `fraction` of the links of
 /// `link_class` ("any"|"local"|"global") from cycle `onset` on `base`.

@@ -29,10 +29,10 @@ SimParams base_for(TopologyKind topo) {
       p = presets::tiny();
       break;
     case TopologyKind::kFbfly:
-      p = presets::fbfly(4, 2, 4);
+      p = presets::fbfly({4, 2, 4});
       break;
     case TopologyKind::kTorus:
-      p = presets::torus(8, 2, 2);
+      p = presets::torus({8, 2, 2});
       break;
   }
   return p;

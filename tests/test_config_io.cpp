@@ -226,7 +226,7 @@ void test_validate() {
   }, "traffic.burst_len must be finite"));
   for (const SimParams& p :
        {presets::paper(), presets::medium(), presets::small(), presets::tiny(),
-        presets::exa(), presets::fbfly(4, 2, 4), presets::torus(4, 2, 2),
+        presets::exa(), presets::fbfly({4, 2, 4}), presets::torus({4, 2, 2}),
         presets::with_link_faults(presets::tiny(), 0.1, "global")}) {
     validate(p);
   }

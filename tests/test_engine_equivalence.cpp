@@ -87,10 +87,10 @@ SteadyResult run_point(TopologyKind topo, RoutingKind kind,
       p = presets::tiny();
       break;
     case TopologyKind::kFbfly:
-      p = presets::fbfly(4, 2, 4);
+      p = presets::fbfly({4, 2, 4});
       break;
     case TopologyKind::kTorus:
-      p = presets::torus(8, 2, 2);
+      p = presets::torus({8, 2, 2});
       break;
   }
   p.routing.kind = kind;

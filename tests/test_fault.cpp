@@ -38,8 +38,8 @@ using namespace dfsim;
 
 SimParams base_for(TopologyKind topo) {
   switch (topo) {
-    case TopologyKind::kFbfly: return presets::fbfly(4, 2, 4);
-    case TopologyKind::kTorus: return presets::torus(8, 2, 2);
+    case TopologyKind::kFbfly: return presets::fbfly({4, 2, 4});
+    case TopologyKind::kTorus: return presets::torus({8, 2, 2});
     case TopologyKind::kDragonfly: break;
   }
   return presets::tiny();

@@ -13,7 +13,7 @@ namespace {
 
 dfsim::SimParams make(dfsim::RoutingKind routing, dfsim::TrafficKind kind,
                       double load) {
-  dfsim::SimParams p = dfsim::presets::fbfly(4, 2, 4);
+  dfsim::SimParams p = dfsim::presets::fbfly({4, 2, 4});
   p.routing.kind = routing;
   p.traffic.kind = kind;
   p.traffic.adv_offset = 1;  // row adversary ("ADJ") under the FB grouping

@@ -10,6 +10,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/sweep.hpp"
 #include "report/json.hpp"
@@ -232,6 +235,16 @@ void test_trend_gates() {
     bad.panels[0].metrics[0].second[1][6] = 400.0;
     assert(!all_passed(check_trend_gates(bad)));
   }
+  {
+    // fig5a run on ADV+1 names its panel after that traffic: the UN gates
+    // skip instead of reading adversarial data as uniform.
+    ResultsDoc adv = good;
+    adv.header.experiment = "fig5a";
+    const auto outcomes = check_trend_gates(adv);
+    assert(outcomes.size() == 1);
+    assert(outcomes[0].gate == "un-trends");
+    assert(outcomes[0].status == GateStatus::kSkip);
+  }
   std::cout << "trend gates ok\n";
 }
 
@@ -356,7 +369,7 @@ void test_worker_errors() {
 
 // Experiment defaults yield to user-set keys: a user value moves both the
 // config hash and the results (the default runs are pinned by the goldens
-// and RESULTS.md).
+// and RESULTS.md). The companion-topology experiments keep them too.
 void test_user_keys_win() {
   RunContext ctx;
   ctx.scale = "tiny";
@@ -367,23 +380,54 @@ void test_user_keys_win() {
   ctx.reps = 1;
   const struct {
     const char* experiment;
-    const char* key;
-    const char* value;
+    std::vector<std::pair<const char*, const char*>> assignments;
   } cases[] = {
-      {"fig8", "router.buf_local_phits", "64"},
-      {"fig9", "traffic.load", "0.37"},
-      {"fault_degradation", "traffic.load", "0.37"},
+      {"fig8", {{"router.buf_local_phits", "64"}}},
+      {"fig9", {{"traffic.load", "0.37"}}},
+      {"fault_degradation", {{"traffic.load", "0.37"}}},
+      {"ablation_fbfly", {{"routing.contention_threshold", "9"}}},
+      {"ablation_fbfly_transient", {{"routing.contention_threshold", "9"}}},
+      {"ablation_torus", {{"router.buf_local_phits", "64"}}},
+      {"ablation_torus",
+       {{"fault.enabled", "1"},
+        {"fault.link_fail_fraction", "0.1"},
+        {"fault.onset", "100"}}},
   };
   for (const auto& c : cases) {
     const ExperimentSpec& spec = *find_experiment(c.experiment);
     RunContext user = ctx;
-    user.set_param(c.key, c.value);
+    for (const auto& [key, value] : c.assignments) user.set_param(key, value);
     const ResultsDoc by_default = run_experiment(spec, ctx);
     ResultsDoc by_user = run_experiment(spec, user);
     assert(by_user.header.config_hash != by_default.header.config_hash);
     by_user.header = by_default.header;
     by_user.panels[0].name = by_default.panels[0].name;
     assert(to_json(by_user).dump() != to_json(by_default).dump());
+  }
+
+  // A base that already selects the companion topology is kept whole.
+  {
+    RunContext user = ctx;
+    user.set_param("topology", "fbfly");
+    user.set_param("fbfly.k", "5");
+    const ResultsDoc doc =
+        run_experiment(*find_experiment("ablation_fbfly"), user);
+    assert(doc.header.topology == "fbfly");
+    assert(doc.header.nodes == user.base.nodes());
+    assert(doc.header.config_hash == config_hash(user.base));
+  }
+  // A scale without the companion shape names both in its error.
+  {
+    RunContext exa = ctx;
+    exa.scale = "exa";
+    std::string message;
+    try {
+      (void)run_experiment(*find_experiment("ablation_fbfly"), exa);
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    assert(message.find("exa") != std::string::npos);
+    assert(message.find("fbfly") != std::string::npos);
   }
   std::cout << "user keys win over experiment defaults ok\n";
 }

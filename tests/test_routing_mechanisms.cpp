@@ -78,8 +78,8 @@ const char* topo_enum_name(TopologyKind topo) {
 
 SimParams base_params(TopologyKind topo) {
   switch (topo) {
-    case TopologyKind::kFbfly: return presets::fbfly(4, 2, 4);
-    case TopologyKind::kTorus: return presets::torus(8, 2, 2);
+    case TopologyKind::kFbfly: return presets::fbfly({4, 2, 4});
+    case TopologyKind::kTorus: return presets::torus({8, 2, 2});
     case TopologyKind::kDragonfly: break;
   }
   return presets::tiny();

@@ -51,8 +51,8 @@ bool bitwise_equal(const SteadyResult& a, const SteadyResult& b) {
 SimParams base_params(int topo_pick) {
   switch (topo_pick) {
     case 0: return presets::tiny();
-    case 1: return presets::fbfly(4, 2, 4);
-    default: return presets::torus(8, 2, 2);
+    case 1: return presets::fbfly({4, 2, 4});
+    default: return presets::torus({8, 2, 2});
   }
 }
 

@@ -413,7 +413,7 @@ void test_heatmap_conservation_and_schema() {
 // Trace records carry the router as uint16; a larger topology must be
 // refused at construction rather than traced with truncated ids.
 void test_trace_rejects_wide_router_ids() {
-  SimParams p = presets::torus(256, 2, 1);  // 65,536 routers
+  SimParams p = presets::torus({256, 2, 1});  // 65,536 routers
   p.trace.enabled = true;
   bool refused = false;
   try {

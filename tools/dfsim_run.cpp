@@ -114,21 +114,6 @@ std::vector<const ExperimentSpec*> select_experiments(const CliOptions& cli) {
   return specs;
 }
 
-/// Per-scale measurement defaults; tiny's are also the golden settings the
-/// committed tests/goldens were produced with.
-void default_cycles(const std::string& scale, Cycle& warmup, Cycle& measure) {
-  if (scale == "tiny") {
-    warmup = 1000;
-    measure = 2000;
-  } else if (scale == "paper") {
-    warmup = 5000;
-    measure = 15000;
-  } else {
-    warmup = 2000;
-    measure = 3000;
-  }
-}
-
 /// A dfsim_run flag that spells a config key: `--traffic=ADV` is
 /// `--set=traffic.kind=ADV`.
 struct FlagKey {
@@ -203,11 +188,11 @@ RunContext make_context(const CliOptions& cli, bool observe = false) {
   RunContext ctx = configure(
       cli, cli.get("scale", CliOptions::env("DFSIM_SCALE", "medium")),
       observe);
-  default_cycles(ctx.scale, ctx.options.warmup, ctx.options.measure);
-  ctx.options.warmup = cli.get_int(
-      "warmup", CliOptions::env_int("DFSIM_WARMUP", ctx.options.warmup));
+  const presets::Scale& scale = presets::scale(ctx.scale);
+  ctx.options.warmup =
+      cli.get_int("warmup", CliOptions::env_int("DFSIM_WARMUP", scale.warmup));
   ctx.options.measure = cli.get_int(
-      "measure", CliOptions::env_int("DFSIM_MEASURE", ctx.options.measure));
+      "measure", CliOptions::env_int("DFSIM_MEASURE", scale.measure));
   if (cli.has("reps")) {
     ctx.options.reps = static_cast<std::int32_t>(cli.get_int("reps", 1));
     ctx.reps = ctx.options.reps;
@@ -310,7 +295,7 @@ std::vector<ResultsDoc> run_selected(const CliOptions& cli) {
     std::filesystem::create_directories(out_dir);
   }
   // One context for all experiments: --config/--trace are parsed and
-  // validated once; each spec.run copies it by value.
+  // validated once; run_experiment derives each experiment's copy.
   const RunContext ctx = make_context(cli);
   const bool progress = cli.has("progress");
   std::vector<ResultsDoc> docs;
@@ -357,7 +342,7 @@ int cmd_list(const CliOptions& cli) {
                  "|\n|---|---|---|---|\n";
     for (const ExperimentSpec& spec : experiment_registry()) {
       std::cout << "| `" << spec.name << "` | " << spec.paper_ref << " | "
-                << spec.topology << " | " << spec.title << " |\n";
+                << to_string(spec.topology) << " | " << spec.title << " |\n";
     }
     return 0;
   }
@@ -366,7 +351,7 @@ int cmd_list(const CliOptions& cli) {
     table.begin_row();
     table.set("experiment", spec.name);
     table.set("paper_ref", spec.paper_ref);
-    table.set("topology", spec.topology);
+    table.set("topology", to_string(spec.topology));
     table.set("title", spec.title);
   }
   table.write_pretty(std::cout);
@@ -536,17 +521,6 @@ Json memory_by_subsystem(const MemoryReport& report) {
   return out;
 }
 
-/// Wall-clock cycles for one timed point, sized so every point finishes in
-/// well under a second on the scan-free engine while still averaging over
-/// enough cycles that per-cycle noise washes out.
-Cycle default_perf_cycles(const std::string& scale) {
-  if (scale == "tiny") return 60000;
-  if (scale == "small") return 20000;
-  if (scale == "medium") return 8000;
-  if (scale == "exa") return 200;  // ~100k routers: every cycle is costly
-  return 600;  // paper
-}
-
 int cmd_perf(const CliOptions& cli) {
   const std::vector<std::string> scales =
       split_csv(cli.get("scales", "tiny,medium"));
@@ -590,7 +564,8 @@ int cmd_perf(const CliOptions& cli) {
       SimParams p = bases[si];
       p.traffic.load = load;
       p.engine.threads = threads;
-      const Cycle cycles = cli.get_int("cycles", default_perf_cycles(scale));
+      const Cycle cycles =
+          cli.get_int("cycles", presets::scale(scale).perf_cycles);
 
       const auto t_setup = std::chrono::steady_clock::now();
       Simulator sim(p);
