@@ -1,10 +1,11 @@
 // Engine-unification equivalence suite.
 //
-// (1) Dragonfly golden metrics: the engine must reproduce these numbers
-//     *bit-exactly* for fixed seeds — every routing mechanism, uniform and
-//     adversarial, at tiny scale (seed 12345, warmup 800, measure 1200,
-//     load 0.3, ADV+1); double equality is intentional. The table pins the
-//     whole chain (traffic draws, routing draws, iteration order, grant
+// (1) Golden metrics: the engine must reproduce these numbers *bit-exactly*
+//     for fixed seeds — every routing mechanism, uniform and adversarial,
+//     on the tiny dragonfly, the 4-ary 2-flat and the 8-ary 2-cube (seed
+//     12345, warmup 800, measure 1200, load 0.3, ADV+1), plus a faulted
+//     row per grid topology; double equality is intentional. The table pins
+//     the whole chain (traffic draws, routing draws, iteration order, grant
 //     order), so ANY engine restructure must keep it green unchanged; only
 //     a deliberate behavior change may regenerate it (run with --print).
 // (2) Flattened butterfly on the unified engine: the Section VI-D ordering
@@ -27,8 +28,10 @@ namespace {
 using namespace dfsim;
 
 struct Golden {
+  TopologyKind topology;
   RoutingKind kind;
   TrafficKind traffic;
+  bool faults;  // 10% of the local-class links dead from cycle 0
   double throughput;
   double latency_avg;
   double misrouted_fraction;
@@ -41,26 +44,60 @@ struct Golden {
 // further DELIBERATE behavior change only (ARCHITECTURE.md bit-exactness
 // rule). MIN/VAL rows are identical to the original seed-engine capture —
 // they never score candidates — which pins the mechanisms that must not
-// move.
+// move. The fbfly/torus rows pin the grid topologies' candidate draws; the
+// faulted VAL and Base rows also pin the candidate_usable filter and the
+// Valiant retry budget.
 const Golden kGolden[] = {
-    {RoutingKind::kMin, TrafficKind::kUniform, 0.30435185185185187, 74.019166413142685, 0, 0.027777777777777776},
-    {RoutingKind::kMin, TrafficKind::kAdversarial, 0.125, 748.87407407407409, 0, 42.166666666666664},
-    {RoutingKind::kValiant, TrafficKind::kUniform, 0.30314814814814817, 128.73946243127673, 0.90134392180818568, 0.25},
-    {RoutingKind::kValiant, TrafficKind::kAdversarial, 0.30074074074074075, 136.39593596059115, 1, 0.20833333333333334},
-    {RoutingKind::kUgalL, TrafficKind::kUniform, 0.30435185185185187, 74.408883480377241, 0.0066930331609370243, 0.027777777777777776},
-    {RoutingKind::kUgalL, TrafficKind::kAdversarial, 0.25944444444444442, 224.40328336902212, 0.51713062098501072, 9.4444444444444446},
-    {RoutingKind::kUgalG, TrafficKind::kUniform, 0.30462962962962964, 75.295744680851058, 0.032522796352583587, 0.055555555555555552},
-    {RoutingKind::kUgalG, TrafficKind::kAdversarial, 0.28629629629629627, 179.19307891332471, 0.56468305304010347, 4.0694444444444446},
-    {RoutingKind::kPiggyback, TrafficKind::kUniform, 0.30435185185185187, 74.408883480377241, 0.0066930331609370243, 0.027777777777777776},
-    {RoutingKind::kPiggyback, TrafficKind::kAdversarial, 0.25944444444444442, 224.40328336902212, 0.51713062098501072, 9.4444444444444446},
-    {RoutingKind::kOlm, TrafficKind::kUniform, 0.30481481481481482, 75.995139732685303, 0, 0.027777777777777776},
-    {RoutingKind::kOlm, TrafficKind::kAdversarial, 0.27861111111111109, 223.48886673313393, 0.5503489531405783, 6.9722222222222223},
-    {RoutingKind::kCbBase, TrafficKind::kUniform, 0.30435185185185187, 74.040766656525705, 0.00060845756008518403, 0.027777777777777776},
-    {RoutingKind::kCbBase, TrafficKind::kAdversarial, 0.29351851851851851, 179.31703470031545, 0.65015772870662458, 2.2361111111111112},
-    {RoutingKind::kCbHybrid, TrafficKind::kUniform, 0.30444444444444446, 74.022506082725059, 0.0021289537712895377, 0.027777777777777776},
-    {RoutingKind::kCbHybrid, TrafficKind::kAdversarial, 0.30009259259259258, 146.72601049058932, 0.63930885529157666, 0.43055555555555558},
-    {RoutingKind::kCbEctn, TrafficKind::kUniform, 0.30435185185185187, 74.040766656525705, 0.00060845756008518403, 0.027777777777777776},
-    {RoutingKind::kCbEctn, TrafficKind::kAdversarial, 0.30129629629629628, 169.52397049784881, 0.67363245236631841, 1.2916666666666667},
+    {TopologyKind::kDragonfly, RoutingKind::kMin, TrafficKind::kUniform, false, 0.30435185185185187, 74.019166413142685, 0, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kMin, TrafficKind::kAdversarial, false, 0.125, 748.87407407407409, 0, 42.166666666666664},
+    {TopologyKind::kDragonfly, RoutingKind::kValiant, TrafficKind::kUniform, false, 0.30314814814814817, 128.73946243127673, 0.90134392180818568, 0.25},
+    {TopologyKind::kDragonfly, RoutingKind::kValiant, TrafficKind::kAdversarial, false, 0.30074074074074075, 136.39593596059115, 1, 0.20833333333333334},
+    {TopologyKind::kDragonfly, RoutingKind::kUgalL, TrafficKind::kUniform, false, 0.30435185185185187, 74.408883480377241, 0.0066930331609370243, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kUgalL, TrafficKind::kAdversarial, false, 0.25944444444444442, 224.40328336902212, 0.51713062098501072, 9.4444444444444446},
+    {TopologyKind::kDragonfly, RoutingKind::kUgalG, TrafficKind::kUniform, false, 0.30462962962962964, 75.295744680851058, 0.032522796352583587, 0.055555555555555552},
+    {TopologyKind::kDragonfly, RoutingKind::kUgalG, TrafficKind::kAdversarial, false, 0.28629629629629627, 179.19307891332471, 0.56468305304010347, 4.0694444444444446},
+    {TopologyKind::kDragonfly, RoutingKind::kPiggyback, TrafficKind::kUniform, false, 0.30435185185185187, 74.408883480377241, 0.0066930331609370243, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kPiggyback, TrafficKind::kAdversarial, false, 0.25944444444444442, 224.40328336902212, 0.51713062098501072, 9.4444444444444446},
+    {TopologyKind::kDragonfly, RoutingKind::kOlm, TrafficKind::kUniform, false, 0.30481481481481482, 75.995139732685303, 0, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kOlm, TrafficKind::kAdversarial, false, 0.27861111111111109, 223.48886673313393, 0.5503489531405783, 6.9722222222222223},
+    {TopologyKind::kDragonfly, RoutingKind::kCbBase, TrafficKind::kUniform, false, 0.30435185185185187, 74.040766656525705, 0.00060845756008518403, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kCbBase, TrafficKind::kAdversarial, false, 0.29351851851851851, 179.31703470031545, 0.65015772870662458, 2.2361111111111112},
+    {TopologyKind::kDragonfly, RoutingKind::kCbHybrid, TrafficKind::kUniform, false, 0.30444444444444446, 74.022506082725059, 0.0021289537712895377, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kCbHybrid, TrafficKind::kAdversarial, false, 0.30009259259259258, 146.72601049058932, 0.63930885529157666, 0.43055555555555558},
+    {TopologyKind::kDragonfly, RoutingKind::kCbEctn, TrafficKind::kUniform, false, 0.30435185185185187, 74.040766656525705, 0.00060845756008518403, 0.027777777777777776},
+    {TopologyKind::kDragonfly, RoutingKind::kCbEctn, TrafficKind::kAdversarial, false, 0.30129629629629628, 169.52397049784881, 0.67363245236631841, 1.2916666666666667},
+    {TopologyKind::kFbfly, RoutingKind::kMin, TrafficKind::kUniform, false, 0.29950520833333333, 10.341578993131032, 0, 0.109375},
+    {TopologyKind::kFbfly, RoutingKind::kMin, TrafficKind::kAdversarial, false, 0.25, 245.94677083333335, 0, 101.203125},
+    {TopologyKind::kFbfly, RoutingKind::kValiant, TrafficKind::kUniform, false, 0.29928385416666664, 24.103589297367847, 0.95309984772677836, 0.875},
+    {TopologyKind::kFbfly, RoutingKind::kValiant, TrafficKind::kAdversarial, false, 0.30024739583333332, 34.952903421657489, 1, 2.78125},
+    {TopologyKind::kFbfly, RoutingKind::kUgalL, TrafficKind::kUniform, false, 0.29950520833333333, 10.547343709242675, 0.023302321537257628, 0.125},
+    {TopologyKind::kFbfly, RoutingKind::kUgalL, TrafficKind::kAdversarial, false, 0.30014322916666669, 18.135568955793676, 0.46917704221075007, 0.96875},
+    {TopologyKind::kFbfly, RoutingKind::kUgalG, TrafficKind::kUniform, false, 0.29962239583333333, 10.809916996219199, 0.086697666333492671, 0.09375},
+    {TopologyKind::kFbfly, RoutingKind::kUgalG, TrafficKind::kAdversarial, false, 0.29903645833333331, 23.054079944265435, 0.52011669424366458, 1.546875},
+    {TopologyKind::kFbfly, RoutingKind::kPiggyback, TrafficKind::kUniform, false, 0.29947916666666669, 10.557739130434783, 0.024217391304347826, 0.140625},
+    {TopologyKind::kFbfly, RoutingKind::kPiggyback, TrafficKind::kAdversarial, false, 0.30014322916666669, 18.135568955793676, 0.46917704221075007, 0.96875},
+    {TopologyKind::kFbfly, RoutingKind::kOlm, TrafficKind::kUniform, false, 0.29950520833333333, 10.341578993131032, 0, 0.109375},
+    {TopologyKind::kFbfly, RoutingKind::kOlm, TrafficKind::kAdversarial, false, 0.25, 245.94677083333335, 0, 101.203125},
+    {TopologyKind::kFbfly, RoutingKind::kCbBase, TrafficKind::kUniform, false, 0.29950520833333333, 10.342100686896792, 4.3474480479958267e-05, 0.109375},
+    {TopologyKind::kFbfly, RoutingKind::kCbBase, TrafficKind::kAdversarial, false, 0.29997395833333335, 26.716815695806929, 0.3405677576178488, 1.984375},
+    {TopologyKind::kFbfly, RoutingKind::kValiant, TrafficKind::kAdversarial, true, 0, 0, 0, 494.03125},
+    {TopologyKind::kFbfly, RoutingKind::kCbBase, TrafficKind::kAdversarial, true, 0.042877604166666666, 12.499240813847555, 0.41907075614940781, 400.21875},
+    {TopologyKind::kTorus, RoutingKind::kMin, TrafficKind::kUniform, false, 0.26322265625000002, 111.83381563651653, 0, 65.5546875},
+    {TopologyKind::kTorus, RoutingKind::kMin, TrafficKind::kAdversarial, false, 0.29926432291666666, 7.3748123653925646, 0, 0.1015625},
+    {TopologyKind::kTorus, RoutingKind::kValiant, TrafficKind::kUniform, false, 0.13849609374999999, 560.35519202745263, 0.99308983218163871, 304.375},
+    {TopologyKind::kTorus, RoutingKind::kValiant, TrafficKind::kAdversarial, false, 0.11259765625, 805.597629372651, 1, 351.0859375},
+    {TopologyKind::kTorus, RoutingKind::kUgalL, TrafficKind::kUniform, false, 0.22740234375000001, 132.13089409945891, 0.16559306020785022, 94.78125},
+    {TopologyKind::kTorus, RoutingKind::kUgalL, TrafficKind::kAdversarial, false, 0.29476562499999998, 31.551064581676826, 0.3261551373796272, 5.109375},
+    {TopologyKind::kTorus, RoutingKind::kUgalG, TrafficKind::kUniform, false, 0.29863932291666667, 32.810294085587842, 0.11626081838198427, 1.109375},
+    {TopologyKind::kTorus, RoutingKind::kUgalG, TrafficKind::kAdversarial, false, 0.29930989583333334, 13.764214556053421, 0.15378257275851567, 0.3125},
+    {TopologyKind::kTorus, RoutingKind::kPiggyback, TrafficKind::kUniform, false, 0.17680989583333334, 267.06105015096841, 0.66728035937845198, 193.2421875},
+    {TopologyKind::kTorus, RoutingKind::kPiggyback, TrafficKind::kAdversarial, false, 0.29476562499999998, 31.551064581676826, 0.3261551373796272, 5.109375},
+    {TopologyKind::kTorus, RoutingKind::kOlm, TrafficKind::kUniform, false, 0.22141276041666666, 114.02314093328236, 0.082713399394277992, 105.3828125},
+    {TopologyKind::kTorus, RoutingKind::kOlm, TrafficKind::kAdversarial, false, 0.29926432291666666, 7.3748123653925646, 0, 0.1015625},
+    {TopologyKind::kTorus, RoutingKind::kCbBase, TrafficKind::kUniform, false, 0.1612890625, 415.23310728990072, 0.6015177201905223, 238.5234375},
+    {TopologyKind::kTorus, RoutingKind::kCbBase, TrafficKind::kAdversarial, false, 0.09923177083333333, 746.01384332764724, 1, 347.3359375},
+    {TopologyKind::kTorus, RoutingKind::kValiant, TrafficKind::kAdversarial, true, 6.5104166666666666e-05, 1175.8, 1, 512},
+    {TopologyKind::kTorus, RoutingKind::kCbBase, TrafficKind::kAdversarial, true, 0.0046940104166666666, 8.140083217753121, 0.0013869625520110957, 502.140625},
 };
 
 const char* enum_name(RoutingKind kind) {
@@ -79,8 +116,18 @@ const char* enum_name(RoutingKind kind) {
   return "?";
 }
 
+const char* enum_name(TopologyKind kind) {
+  switch (kind) {
+    case TopologyKind::kDragonfly: return "kDragonfly";
+    case TopologyKind::kFbfly: return "kFbfly";
+    case TopologyKind::kTorus: return "kTorus";
+  }
+  return "?";
+}
+
 SteadyResult run_point(TopologyKind topo, RoutingKind kind,
-                       TrafficKind traffic, double load, int adv_offset) {
+                       TrafficKind traffic, double load, int adv_offset,
+                       bool faults = false) {
   SimParams p;
   switch (topo) {
     case TopologyKind::kDragonfly:
@@ -98,6 +145,7 @@ SteadyResult run_point(TopologyKind topo, RoutingKind kind,
   p.traffic.load = load;
   p.traffic.adv_offset = adv_offset;
   p.seed = 12345;
+  if (faults) p = presets::with_link_faults(p, 0.1, "local");
   SteadyOptions opt;
   opt.warmup = 800;
   opt.measure = 1200;
@@ -113,31 +161,32 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::string_view(argv[1]) == "--print") {
     for (const Golden& g : kGolden) {
       const SteadyResult r =
-          run_point(TopologyKind::kDragonfly, g.kind, g.traffic, 0.3, 1);
-      std::printf("    {RoutingKind::%s, TrafficKind::k%s, %.17g, %.17g, "
-                  "%.17g, %.17g},\n",
-                  enum_name(g.kind),
+          run_point(g.topology, g.kind, g.traffic, 0.3, 1, g.faults);
+      std::printf("    {TopologyKind::%s, RoutingKind::%s, TrafficKind::k%s, "
+                  "%s, %.17g, %.17g, %.17g, %.17g},\n",
+                  enum_name(g.topology), enum_name(g.kind),
                   g.traffic == TrafficKind::kUniform ? "Uniform"
                                                      : "Adversarial",
-                  r.throughput, r.latency_avg, r.misrouted_fraction,
-                  r.backlog_per_node);
+                  g.faults ? "true" : "false", r.throughput, r.latency_avg,
+                  r.misrouted_fraction, r.backlog_per_node);
     }
     return EXIT_SUCCESS;
   }
 
-  // --- (1) dragonfly golden reproduction, bit-exact -----------------------
+  // --- (1) golden reproduction, bit-exact ---------------------------------
   for (const Golden& g : kGolden) {
     const SteadyResult r =
-        run_point(TopologyKind::kDragonfly, g.kind, g.traffic, 0.3, 1);
+        run_point(g.topology, g.kind, g.traffic, 0.3, 1, g.faults);
     if (r.throughput != g.throughput || r.latency_avg != g.latency_avg ||
         r.misrouted_fraction != g.misrouted_fraction ||
         r.backlog_per_node != g.backlog_per_node) {
       std::fprintf(stderr,
-                   "dragonfly golden mismatch kind=%s traffic=%s\n"
+                   "%s golden mismatch kind=%s traffic=%s faults=%d\n"
                    "  thr %.17g vs %.17g\n  lat %.17g vs %.17g\n"
                    "  mis %.17g vs %.17g\n  bkl %.17g vs %.17g\n",
-                   to_string(g.kind).c_str(),
-                   to_string(g.traffic).c_str(), r.throughput, g.throughput,
+                   to_string(g.topology).c_str(), to_string(g.kind).c_str(),
+                   to_string(g.traffic).c_str(), g.faults ? 1 : 0,
+                   r.throughput, g.throughput,
                    r.latency_avg, g.latency_avg, r.misrouted_fraction,
                    g.misrouted_fraction, r.backlog_per_node,
                    g.backlog_per_node);
