@@ -598,10 +598,9 @@ std::int32_t Simulator::port_capacity_phits(PortIndex out) const {
   // Traffic on a link concentrates in its hop-class VC, so fractions of the
   // all-VC capacity would almost never be reached.
   if (out >= fwd_) return psize_;
-  if (topo_.port_class(out) == PortClass::kLocalClass) {
-    return std::max(psize_, params_.router.buf_local_phits);
-  }
-  return std::max(psize_, params_.router.buf_global_phits);
+  return topo_.port_class(out) == PortClass::kLocalClass
+             ? params_.router.buf_local_phits
+             : params_.router.buf_global_phits;
 }
 
 VcIndex Simulator::vc_for(RouterId r, PortIndex out,

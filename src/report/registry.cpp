@@ -284,8 +284,8 @@ ResultsDoc run_ablation_radix_range(RunContext& ctx) {
 
   ResultsDoc doc;
   for (const auto& [preset, label] : radixes) {
-    SimParams base = presets::by_name(preset);
-    base.seed = ctx.base.seed;
+    // Each radix keeps the user's keys; the swept threshold wins per tick.
+    const SimParams base = ctx.rebased(preset, TopologyKind::kDragonfly);
 
     std::vector<GridTick> ticks;
     for (const std::int32_t th : thresholds) {
@@ -1124,11 +1124,7 @@ ResultsDoc run_experiment(const ExperimentSpec& spec, const RunContext& ctx) {
   // topology (`--set=topology=fbfly;fbfly.k=5`) is kept as it is.
   if (spec.topology != TopologyKind::kDragonfly &&
       ctx.base.topology != spec.topology) {
-    run_ctx.base = presets::preset_for(ctx.scale, spec.topology);
-    run_ctx.base.seed = ctx.base.seed;
-    for (const auto& [key, value] : ctx.assignments) {
-      if (key != "topology") apply_param(run_ctx.base, key, value);
-    }
+    run_ctx.base = ctx.rebased(ctx.scale, spec.topology);
   }
   ResultsDoc doc;
   try {

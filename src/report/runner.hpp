@@ -49,6 +49,18 @@ struct RunContext {
     apply_param(base, key, value);
     assignments.emplace_back(key, value);
   }
+  /// `kind`'s preset at scale `preset` with this context's seed and every
+  /// user assignment but `topology` applied on top: the base of a run that
+  /// leaves the user's scale or topology.
+  [[nodiscard]] SimParams rebased(const std::string& preset,
+                                  TopologyKind kind) const {
+    SimParams p = presets::preset_for(preset, kind);
+    p.seed = base.seed;
+    for (const auto& [key, value] : assignments) {
+      if (key != "topology") apply_param(p, key, value);
+    }
+    return p;
+  }
   /// Whether the user set the key of `field`, a member of `base`. A trace
   /// path also sets the pattern (traffic.kind becomes TRACE).
   template <class T>

@@ -118,7 +118,9 @@ bool RoutingMechanism::pick_misroute_channel(Rng& rng, RouterId r, NodeId dst,
   std::int32_t n_seen = 0;
   for (std::int32_t draw = 0;
        draw < kCandidates + 1 && n_seen < kCandidates; ++draw) {
-    if (!topo_.sample_nonmin(rng, r, dst, crg, cand)) continue;
+    const auto index = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(pool_size)));
+    if (!topo_.nonmin_candidate_at(r, dst, crg, index, cand)) continue;
     bool duplicate = false;
     for (std::int32_t s = 0; s < n_seen; ++s) {
       duplicate |= seen[s] == cand.channel;

@@ -111,9 +111,14 @@ SimParams exa() {
 
 namespace {
 
-// Shared non-dragonfly baseline: unit packets so `load` is packets/node/
-// cycle, uniform short links, one buffer class of 16 packets per channel.
-SimParams flat_base() {
+// Shared grid baseline: unit packets so `load` is packets/node/cycle,
+// uniform short links, one buffer class of 16 packets per channel, and an
+// auto contention threshold of all c injection heads aligned on one
+// channel. The unified engine's counters observe every queue head (not just
+// the injection heads the old forked simulator sampled), so c aligned heads
+// fire reliably under adversarial patterns while random uniform alignment
+// stays very unlikely.
+SimParams flat_base(const GridParams& shape) {
   SimParams p;
   p.packet_size_phits = 1;
   p.router.pipeline_cycles = 1;
@@ -124,22 +129,6 @@ SimParams flat_base() {
   p.link.local_latency = 3;
   p.link.global_latency = 3;
   p.router.through_priority = true;
-  return p;
-}
-
-}  // namespace
-
-SimParams fbfly(const FbflyParams& shape) {
-  SimParams p = flat_base();
-  p.topology = TopologyKind::kFbfly;
-  p.fbfly = shape;
-  p.router.vcs_local = 2;   // one VC class per Valiant phase
-  p.router.vcs_global = 2;
-  // Auto threshold: all c injection heads aligned on one channel. The
-  // unified engine's counters observe every queue head (not just the
-  // injection heads the old forked simulator sampled), so c aligned heads
-  // fire reliably under adversarial patterns while random uniform alignment
-  // stays very unlikely.
   p.routing.contention_threshold = std::max(2, shape.c);
   p.routing.hybrid_contention_threshold =
       std::max(1, p.routing.contention_threshold / 2);
@@ -147,16 +136,23 @@ SimParams fbfly(const FbflyParams& shape) {
   return p;
 }
 
-SimParams torus(const TorusParams& shape) {
-  SimParams p = flat_base();
+}  // namespace
+
+SimParams fbfly(const GridParams& shape) {
+  SimParams p = flat_base(shape);
+  p.topology = TopologyKind::kFbfly;
+  p.fbfly = shape;
+  p.router.vcs_local = 2;   // one VC class per Valiant phase
+  p.router.vcs_global = 2;
+  return p;
+}
+
+SimParams torus(const GridParams& shape) {
+  SimParams p = flat_base(shape);
   p.topology = TopologyKind::kTorus;
   p.torus = shape;
   p.router.vcs_local = 4;   // dateline x Valiant-phase classes
   p.router.vcs_global = 4;
-  p.routing.contention_threshold = std::max(2, shape.c);
-  p.routing.hybrid_contention_threshold =
-      std::max(1, p.routing.contention_threshold / 2);
-  p.routing.allow_local_misroute = false;
   return p;
 }
 

@@ -76,29 +76,14 @@ struct TopoParams {
   [[nodiscard]] std::int32_t radix() const { return p + forward_ports(); }
 };
 
-/// k-ary n-flat flattened butterfly: full connectivity per dimension,
-/// c terminals per router (Section VI-D companion topology).
-struct FbflyParams {
-  std::int32_t k = 4;  // radix per dimension
+/// k-ary n-grid shape of the flattened butterfly (k-ary n-flat: each
+/// dimension fully connected, the Section VI-D companion topology) and of
+/// the torus (k-ary n-cube: a wrap-around ring per dimension; needs
+/// vcs_local >= 4 for its dateline x Valiant-phase VCs).
+struct GridParams {
+  std::int32_t k = 4;  // routers per dimension
   std::int32_t n = 2;  // dimensions
   std::int32_t c = 4;  // nodes per router
-
-  [[nodiscard]] std::int32_t routers() const {
-    std::int32_t total = 1;
-    for (std::int32_t d = 0; d < n; ++d) total *= k;
-    return total;
-  }
-  [[nodiscard]] std::int32_t nodes() const { return routers() * c; }
-  /// Inter-router channels per router: (k-1) per dimension.
-  [[nodiscard]] std::int32_t channels() const { return n * (k - 1); }
-};
-
-/// k-ary n-cube torus: wrap-around rings per dimension, c terminals per
-/// router. Needs vcs_local >= 4 (dateline x Valiant-phase VCs).
-struct TorusParams {
-  std::int32_t k = 8;  // ring size per dimension
-  std::int32_t n = 2;  // dimensions
-  std::int32_t c = 2;  // nodes per router
 
   [[nodiscard]] std::int32_t routers() const {
     std::int32_t total = 1;
@@ -255,8 +240,8 @@ struct SimParams {
   /// or `torus` supplies the shape accordingly.
   TopologyKind topology = TopologyKind::kDragonfly;
   TopoParams topo;
-  FbflyParams fbfly;
-  TorusParams torus;
+  GridParams fbfly{4, 2, 4};
+  GridParams torus{8, 2, 2};
   RouterParams router;
   LinkParams link;
   RoutingParams routing;
@@ -304,8 +289,8 @@ namespace presets {
 struct Scale {
   const char* name;
   SimParams (*dragonfly)();
-  std::optional<FbflyParams> fbfly;
-  std::optional<TorusParams> torus;
+  std::optional<GridParams> fbfly;
+  std::optional<GridParams> torus;
   Cycle warmup;       // `run`; tiny's are the golden settings
   Cycle measure;
   Cycle perf_cycles;  // `perf`'s timed window: under a second a point
@@ -325,10 +310,10 @@ struct Scale {
 /// and an auto contention threshold of max(2, c) — all injection heads
 /// aligned (the unified engine's counters see every queue head, unlike the
 /// old forked simulator's injection-only sampling).
-[[nodiscard]] SimParams fbfly(const FbflyParams& shape);
+[[nodiscard]] SimParams fbfly(const GridParams& shape);
 /// Torus run on the unified engine: 4 VCs (dateline x Valiant phase),
 /// unit packets, 16 packets of buffering per channel.
-[[nodiscard]] SimParams torus(const TorusParams& shape);
+[[nodiscard]] SimParams torus(const GridParams& shape);
 
 /// Overlay helper: permanent failure of `fraction` of the links of
 /// `link_class` ("any"|"local"|"global") from cycle `onset` on `base`.

@@ -112,23 +112,6 @@ void DragonflyTopology::fill_candidate(RouterId r, std::int32_t channel,
   out.first_hop = out.inter == r ? out.via_port : local_port_to(r, out.inter);
 }
 
-bool DragonflyTopology::sample_nonmin(Rng& rng, RouterId r, NodeId dst,
-                                      bool own_router_only,
-                                      NonminCandidate& out) const {
-  const std::int32_t h = params_.h;
-  const std::int32_t channels = params_.a * h;
-  const std::int32_t jmin = min_channel(r, dst);
-  const std::int32_t j =
-      own_router_only
-          ? local_index(r) * h + static_cast<std::int32_t>(rng.next_below(
-                                     static_cast<std::uint64_t>(h)))
-          : static_cast<std::int32_t>(
-                rng.next_below(static_cast<std::uint64_t>(channels)));
-  if (j == jmin) return false;
-  fill_candidate(r, j, out);
-  return candidate_usable(r, out);
-}
-
 bool DragonflyTopology::nonmin_candidate_at(RouterId r, NodeId dst,
                                             bool own_router_only,
                                             std::int32_t index,

@@ -116,9 +116,6 @@ class DragonflyTopology final : public Topology {
       RouterId r, bool own_router_only) const override;
   [[nodiscard]] bool nonmin_viable(RouterId r, NodeId dst,
                                    bool own_router_only) const override;
-  [[nodiscard]] bool sample_nonmin(Rng& rng, RouterId r, NodeId dst,
-                                   bool own_router_only,
-                                   NonminCandidate& out) const override;
   [[nodiscard]] bool nonmin_candidate_at(RouterId r, NodeId dst,
                                          bool own_router_only,
                                          std::int32_t index,

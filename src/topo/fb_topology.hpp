@@ -4,45 +4,32 @@
 // connected ((k-1) channels per dimension per router), c terminals per
 // router. Minimal routing is Dimension-Order (unique path); nonminimal
 // routing is Valiant through a random intermediate router, taken as DOR
-// r -> inter -> dest. The nonminimal phase ends on *arrival* at the
-// intermediate (NonminCandidate::via_port = -1), and the VC schedule is the
-// usual FB deadlock-avoidance split collapsed to one class per phase:
-// VC0 on the leg to the intermediate, VC1 on the leg to the destination
-// (configure vcs_local >= 2). All channels are kLocalClass: one buffer
-// depth, one link latency.
-//
-// This replaced the bespoke output-queued FbSimulator: the fbfly now runs
-// the engine's input-queued routers, credit flow, separable allocator,
-// contention counters, delivery log, trace record/replay, and zero-alloc
-// guarantees — the features the fork had silently lost.
+// r -> inter -> dest (GridTopology). The VC schedule is the usual FB
+// deadlock-avoidance split collapsed to one class per phase: VC0 on the leg
+// to the intermediate, VC1 on the leg to the destination (configure
+// vcs_local >= 2).
 #pragma once
 
 #include <cstdint>
 
 #include "sim/config.hpp"
-#include "topo/topology.hpp"
+#include "topo/grid.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
 
-class FlattenedButterflyTopology final : public Topology {
+class FlattenedButterflyTopology final : public GridTopology {
  public:
-  explicit FlattenedButterflyTopology(const FbflyParams& params);
+  explicit FlattenedButterflyTopology(const GridParams& params);
 
-  [[nodiscard]] const FbflyParams& params() const { return params_; }
-
-  [[nodiscard]] std::int32_t coord(RouterId r, std::int32_t dim) const {
-    std::int32_t v = r;
-    for (std::int32_t d = 0; d < dim; ++d) v /= params_.k;
-    return v % params_.k;
-  }
   /// Output channel index toward coordinate `v` in dimension `dim`.
   [[nodiscard]] std::int32_t channel_to(RouterId r, std::int32_t dim,
                                         std::int32_t v) const {
     const std::int32_t own = coord(r, dim);
     return dim * (params_.k - 1) + (v < own ? v : v - 1);
   }
-  [[nodiscard]] std::int32_t dor_hops(RouterId from, RouterId to) const {
+  [[nodiscard]] std::int32_t dor_hops(RouterId from,
+                                      RouterId to) const override {
     std::int32_t hops = 0;
     for (std::int32_t dim = 0; dim < params_.n; ++dim) {
       if (coord(from, dim) != coord(to, dim)) ++hops;
@@ -52,14 +39,8 @@ class FlattenedButterflyTopology final : public Topology {
 
   // --- Topology interface -------------------------------------------------
 
-  [[nodiscard]] PortClass port_class(PortIndex port) const override {
-    (void)port;
-    return PortClass::kLocalClass;
-  }
   [[nodiscard]] RouterId peer(RouterId r, PortIndex port) const override;
   [[nodiscard]] PortIndex peer_port(RouterId r, PortIndex port) const override;
-  [[nodiscard]] PortIndex minimal_output(RouterId r,
-                                         NodeId dest) const override;
   [[nodiscard]] PortIndex route_toward(RouterId r,
                                        RouterId target) const override;
 
@@ -78,60 +59,10 @@ class FlattenedButterflyTopology final : public Topology {
     return {vc_state, false, false};  // phase 0 ends on arrival at `inter`
   }
 
-  [[nodiscard]] std::int32_t min_channel(RouterId r, NodeId dst) const override;
-  [[nodiscard]] std::int32_t nonmin_pool_size(
-      RouterId r, bool own_router_only) const override {
-    (void)r;
-    (void)own_router_only;  // no CRG analogue: every candidate starts here
-    return routers();
-  }
-  [[nodiscard]] bool sample_nonmin(Rng& rng, RouterId r, NodeId dst,
-                                   bool own_router_only,
-                                   NonminCandidate& out) const override;
-  [[nodiscard]] bool nonmin_candidate_at(RouterId r, NodeId dst,
-                                         bool own_router_only,
-                                         std::int32_t index,
-                                         NonminCandidate& out) const override;
-  [[nodiscard]] bool sample_valiant(Rng& rng, RouterId r, NodeId dst,
-                                    NonminCandidate& out) const override;
-
-  [[nodiscard]] HopEstimate min_hops(RouterId r, RouterId dr) const override {
-    return {dor_hops(r, dr), 0};
-  }
-  [[nodiscard]] HopEstimate nonmin_hops(RouterId r,
-                                        const NonminCandidate& cand,
-                                        RouterId dr) const override {
-    return {dor_hops(r, cand.inter) + dor_hops(cand.inter, dr), 0};
-  }
-  [[nodiscard]] bool min_link_probe(RouterId r, NodeId dst,
-                                    RemoteProbe& out) const override;
-  [[nodiscard]] bool min_remote_probe(RouterId r, NodeId dst,
-                                      RemoteProbe& out) const override {
-    return min_link_probe(r, dst, out);  // one-hop-lookahead queue
-  }
-  [[nodiscard]] bool nonmin_remote_probe(RouterId r,
-                                         const NonminCandidate& cand,
-                                         RemoteProbe& out) const override;
-
-  [[nodiscard]] bool can_misroute_in_transit(
-      RouterId r, RouterId src_router, std::int8_t vc_state) const override {
-    (void)vc_state;
-    return r == src_router;  // decisions at the source router only
-  }
-
-  [[nodiscard]] TrafficTopologyInfo traffic_info() const override;
-
   /// Other minimal dimensions first, then a detour coordinate within the
   /// blocked dimension (its row router has a direct channel onward).
   [[nodiscard]] PortIndex fallback_output(RouterId r, RouterId target,
                                           PortIndex avoid) const override;
-
- private:
-  [[nodiscard]] bool make_candidate(RouterId r, RouterId inter,
-                                    NonminCandidate& out) const;
-
-  FbflyParams params_;
-  std::int32_t channels_ = 0;  // inter-router channels per router: n*(k-1)
 };
 
 }  // namespace dfsim

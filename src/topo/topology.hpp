@@ -7,8 +7,9 @@
 // machinery behind every adaptive mechanism (Valiant sampling, scored
 // candidate sampling for UGAL/CB, UGAL hop estimates, and remote-queue probe
 // points for UGAL-G/PB). The engine itself carries no dragonfly, flattened
-// butterfly, or torus specifics: those live in the DragonflyTopology,
-// FlattenedButterflyTopology, and TorusTopology subclasses.
+// butterfly, or torus specifics: those live in DragonflyTopology and in
+// GridTopology (topo/grid.hpp), the k-ary n-grid base that
+// FlattenedButterflyTopology and TorusTopology wire up.
 //
 // Phase-0 convention: a globally misrouted packet first travels to
 // `NonminCandidate::inter`. When `via_port >= 0` the nonminimal phase ends
@@ -22,9 +23,11 @@
 // and called per head event / departure, but each implementation is a flat
 // table load or closed-form coordinate math, and the engine amortizes them
 // against queue and allocator work (simulator-cycle micro benches are
-// unchanged vs the pre-interface engine). The candidate-sampling / UGAL /
-// probe hooks sit behind RNG draws and occupancy scans, off the per-cycle
-// inner loop.
+// unchanged vs the pre-interface engine). On the grid topologies
+// minimal_output adds one more indirect call, GridTopology's call of the
+// subclass's route_toward. The candidate / UGAL / probe hooks sit behind
+// RNG draws and occupancy scans, off the per-cycle inner loop; mechanisms
+// draw candidate indices themselves and ask nonmin_candidate_at for each.
 #pragma once
 
 #include <cstdint>
@@ -168,16 +171,11 @@ class Topology {
     (void)own_router_only;
     return true;
   }
-  /// Draws one candidate; false when the draw hit the minimal route (or an
-  /// otherwise unusable option) and should simply be skipped. RNG use must
-  /// be identical across calls for determinism.
-  [[nodiscard]] virtual bool sample_nonmin(Rng& rng, RouterId r, NodeId dst,
-                                           bool own_router_only,
-                                           NonminCandidate& out) const = 0;
-  /// Enumerated access to the candidate pool for small-pool exhaustive
-  /// scoring: option `index` in [0, nonmin_pool_size(r, own_router_only)).
-  /// False when that slot is the minimal route (or otherwise unusable).
-  /// Draws no RNG; distinct indices yield distinct candidates.
+  /// Option `index` in [0, nonmin_pool_size(r, own_router_only)) of the
+  /// candidate pool: mechanisms enumerate small pools and draw indices
+  /// uniformly from large ones. False when that slot is the minimal route
+  /// (or otherwise unusable). Draws no RNG; distinct indices yield distinct
+  /// candidates.
   [[nodiscard]] virtual bool nonmin_candidate_at(RouterId r, NodeId dst,
                                                  bool own_router_only,
                                                  std::int32_t index,
@@ -284,18 +282,9 @@ class Topology {
   /// Alternative output at `r` toward router `target` when the preferred
   /// output `avoid` is down; kInvalidPort when every forward link of `r` is
   /// down. Deterministic (no RNG): the engine may re-evaluate it every cycle
-  /// for a blocked head. The base version scans cyclically from `avoid`;
-  /// subclasses override with class-aware preferences.
+  /// for a blocked head.
   [[nodiscard]] virtual PortIndex fallback_output(RouterId r, RouterId target,
-                                                  PortIndex avoid) const {
-    (void)target;
-    const std::int32_t fwd = forward_ports();
-    for (std::int32_t i = 1; i < fwd; ++i) {
-      const PortIndex p = static_cast<PortIndex>((avoid + i) % fwd);
-      if (link_up(r, p)) return p;
-    }
-    return kInvalidPort;
-  }
+                                                  PortIndex avoid) const = 0;
 
  protected:
   /// Subclasses fill the shape once in their constructor.

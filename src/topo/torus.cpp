@@ -4,13 +4,13 @@
 
 namespace dfsim {
 
-TorusTopology::TorusTopology(const TorusParams& params) : params_(params) {
+TorusTopology::TorusTopology(const GridParams& params)
+    : GridTopology(params, 2 * params.n) {
   if (params_.k < 3 || params_.n < 1 || params_.c < 1) {
     // k >= 3 keeps plus/minus ports distinct links (k == 2 would double the
     // single physical link between the two routers of a ring).
     throw std::invalid_argument("torus: need k>=3, n>=1, c>=1");
   }
-  set_shape(params_.routers(), 2 * params_.n, params_.c);
 }
 
 RouterId TorusTopology::peer(RouterId r, PortIndex port) const {
@@ -22,12 +22,6 @@ RouterId TorusTopology::peer(RouterId r, PortIndex port) const {
   std::int32_t stride = 1;
   for (std::int32_t d = 0; d < dim; ++d) stride *= k;
   return r + (next - own) * stride;
-}
-
-PortIndex TorusTopology::minimal_output(RouterId r, NodeId dest) const {
-  const RouterId dr = router_of_node(dest);
-  if (dr == r) return forward_ports() + (dest % params_.c);
-  return route_toward(r, dr);
 }
 
 PortIndex TorusTopology::route_toward(RouterId r, RouterId target) const {
@@ -43,56 +37,6 @@ PortIndex TorusTopology::route_toward(RouterId r, RouterId target) const {
     return plus <= k - plus ? dim * 2 : dim * 2 + 1;
   }
   return kInvalidPort;
-}
-
-std::int32_t TorusTopology::min_channel(RouterId r, NodeId dst) const {
-  const RouterId dr = router_of_node(dst);
-  return dr == r ? -1 : dr;  // candidate space is router ids
-}
-
-bool TorusTopology::make_candidate(RouterId r, RouterId inter,
-                                   NonminCandidate& out) const {
-  out.channel = inter;
-  out.inter = inter;
-  out.via_port = -1;  // phase 0 ends on arrival at the intermediate
-  out.first_hop = route_toward(r, inter);
-  return candidate_usable(r, out);
-}
-
-bool TorusTopology::sample_nonmin(Rng& rng, RouterId r, NodeId dst,
-                                  bool own_router_only,
-                                  NonminCandidate& out) const {
-  (void)own_router_only;
-  const RouterId dr = router_of_node(dst);
-  const auto inter = static_cast<RouterId>(
-      rng.next_below(static_cast<std::uint64_t>(routers())));
-  if (inter == r || inter == dr) return false;
-  return make_candidate(r, inter, out);
-}
-
-bool TorusTopology::nonmin_candidate_at(RouterId r, NodeId dst,
-                                        bool own_router_only,
-                                        std::int32_t index,
-                                        NonminCandidate& out) const {
-  (void)own_router_only;
-  const RouterId dr = router_of_node(dst);
-  if (index == r || index == dr) return false;  // not a nonminimal option
-  return make_candidate(r, index, out);
-}
-
-bool TorusTopology::sample_valiant(Rng& rng, RouterId r, NodeId dst,
-                                   NonminCandidate& out) const {
-  const RouterId dr = router_of_node(dst);
-  for (std::int32_t attempt = 0; attempt < 8; ++attempt) {
-    const auto inter = static_cast<RouterId>(
-        rng.next_below(static_cast<std::uint64_t>(routers())));
-    // With faults attached a drawn candidate may be unusable; keep trying
-    // within the attempt budget (draw-for-draw identical when healthy).
-    if (inter != r && inter != dr && make_candidate(r, inter, out)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 PortIndex TorusTopology::fallback_output(RouterId r, RouterId target,
@@ -117,47 +61,6 @@ PortIndex TorusTopology::fallback_output(RouterId r, RouterId target,
     if (p != avoid && link_up(r, p)) return p;
   }
   return kInvalidPort;
-}
-
-bool TorusTopology::min_link_probe(RouterId r, NodeId dst,
-                                   RemoteProbe& out) const {
-  // One-hop-lookahead: the next router's minimal output toward `dst` — on a
-  // ring the congestion of interest is a few hops downstream, and the
-  // neighbor's same-direction queue is the closest observable proxy.
-  const PortIndex first = minimal_output(r, dst);
-  if (first >= forward_ports()) return false;
-  const RouterId next = peer(r, first);
-  out = RemoteProbe{next, minimal_output(next, dst)};
-  return true;
-}
-
-bool TorusTopology::nonmin_remote_probe(RouterId r,
-                                        const NonminCandidate& cand,
-                                        RemoteProbe& out) const {
-  // One-hop-lookahead on the candidate path, mirroring min_remote_probe.
-  if (cand.first_hop < 0 || cand.first_hop >= forward_ports()) return false;
-  const RouterId next = peer(r, cand.first_hop);
-  const PortIndex cont = next == cand.inter
-                             ? kInvalidPort
-                             : route_toward(next, cand.inter);
-  if (cont == kInvalidPort) return false;
-  out = RemoteProbe{next, cont};
-  return true;
-}
-
-TrafficTopologyInfo TorusTopology::traffic_info() const {
-  TrafficTopologyInfo info;
-  info.nodes = nodes();
-  info.groups = routers();
-  info.nodes_per_group = params_.c;
-  const std::int32_t k = params_.k;
-  // ADV+o advances the dimension-0 ring coordinate; offset k/2 is the
-  // tornado adversary (every router sends halfway around its row ring).
-  info.adv_group = [k](std::int32_t r, std::int32_t offset) {
-    const std::int32_t c0 = r % k;
-    return r - c0 + ((c0 + offset) % k + k) % k;
-  };
-  return info;
 }
 
 }  // namespace dfsim

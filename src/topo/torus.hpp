@@ -5,7 +5,7 @@
 // minus port (2d+1). Minimal routing is Dimension-Order taking the shorter
 // ring direction (ties broken toward plus, which is what makes tornado
 // traffic at offset k/2 the classic MIN-collapse adversary); nonminimal
-// routing is Valiant through a random intermediate router.
+// routing is Valiant through a random intermediate router (GridTopology).
 //
 // Deadlock avoidance uses dateline VCs doubled per Valiant phase: within a
 // phase a packet uses VC 0 of the pair until it traverses the wrap link of
@@ -18,29 +18,23 @@
 #include <cstdint>
 
 #include "sim/config.hpp"
-#include "topo/topology.hpp"
+#include "topo/grid.hpp"
 #include "util/types.hpp"
 
 namespace dfsim {
 
-class TorusTopology final : public Topology {
+class TorusTopology final : public GridTopology {
  public:
-  explicit TorusTopology(const TorusParams& params);
+  explicit TorusTopology(const GridParams& params);
 
-  [[nodiscard]] const TorusParams& params() const { return params_; }
-
-  [[nodiscard]] std::int32_t coord(RouterId r, std::int32_t dim) const {
-    std::int32_t v = r;
-    for (std::int32_t d = 0; d < dim; ++d) v /= params_.k;
-    return v % params_.k;
-  }
   [[nodiscard]] std::int32_t ring_distance(std::int32_t from,
                                            std::int32_t to) const {
     const std::int32_t k = params_.k;
     const std::int32_t plus = ((to - from) % k + k) % k;
     return std::min(plus, k - plus);
   }
-  [[nodiscard]] std::int32_t dor_hops(RouterId from, RouterId to) const {
+  [[nodiscard]] std::int32_t dor_hops(RouterId from,
+                                      RouterId to) const override {
     std::int32_t hops = 0;
     for (std::int32_t dim = 0; dim < params_.n; ++dim) {
       hops += ring_distance(coord(from, dim), coord(to, dim));
@@ -55,17 +49,11 @@ class TorusTopology final : public Topology {
 
   // --- Topology interface -------------------------------------------------
 
-  [[nodiscard]] PortClass port_class(PortIndex port) const override {
-    (void)port;
-    return PortClass::kLocalClass;
-  }
   [[nodiscard]] RouterId peer(RouterId r, PortIndex port) const override;
   [[nodiscard]] PortIndex peer_port(RouterId r, PortIndex port) const override {
     (void)r;
     return port ^ 1;  // plus links feed the peer's minus port and vice versa
   }
-  [[nodiscard]] PortIndex minimal_output(RouterId r,
-                                         NodeId dest) const override;
   [[nodiscard]] PortIndex route_toward(RouterId r,
                                        RouterId target) const override;
 
@@ -85,49 +73,6 @@ class TorusTopology final : public Topology {
     return static_cast<std::int8_t>(vc_state & ~1);  // fresh dateline leg
   }
 
-  [[nodiscard]] std::int32_t min_channel(RouterId r, NodeId dst) const override;
-  [[nodiscard]] std::int32_t nonmin_pool_size(
-      RouterId r, bool own_router_only) const override {
-    (void)r;
-    (void)own_router_only;
-    return routers();
-  }
-  [[nodiscard]] bool sample_nonmin(Rng& rng, RouterId r, NodeId dst,
-                                   bool own_router_only,
-                                   NonminCandidate& out) const override;
-  [[nodiscard]] bool nonmin_candidate_at(RouterId r, NodeId dst,
-                                         bool own_router_only,
-                                         std::int32_t index,
-                                         NonminCandidate& out) const override;
-  [[nodiscard]] bool sample_valiant(Rng& rng, RouterId r, NodeId dst,
-                                    NonminCandidate& out) const override;
-
-  [[nodiscard]] HopEstimate min_hops(RouterId r, RouterId dr) const override {
-    return {dor_hops(r, dr), 0};
-  }
-  [[nodiscard]] HopEstimate nonmin_hops(RouterId r,
-                                        const NonminCandidate& cand,
-                                        RouterId dr) const override {
-    return {dor_hops(r, cand.inter) + dor_hops(cand.inter, dr), 0};
-  }
-  [[nodiscard]] bool min_link_probe(RouterId r, NodeId dst,
-                                    RemoteProbe& out) const override;
-  [[nodiscard]] bool min_remote_probe(RouterId r, NodeId dst,
-                                      RemoteProbe& out) const override {
-    return min_link_probe(r, dst, out);  // one-hop-lookahead queue
-  }
-  [[nodiscard]] bool nonmin_remote_probe(RouterId r,
-                                         const NonminCandidate& cand,
-                                         RemoteProbe& out) const override;
-
-  [[nodiscard]] bool can_misroute_in_transit(
-      RouterId r, RouterId src_router, std::int8_t vc_state) const override {
-    (void)vc_state;
-    return r == src_router;
-  }
-
-  [[nodiscard]] TrafficTopologyInfo traffic_info() const override;
-
   /// Opposite ring direction first, then other unresolved dimensions.
   [[nodiscard]] PortIndex fallback_output(RouterId r, RouterId target,
                                           PortIndex avoid) const override;
@@ -139,10 +84,6 @@ class TorusTopology final : public Topology {
     const std::int32_t prev = (vc_state / 2 == dim) ? (vc_state & 1) : 0;
     return prev | (is_wrap_hop(r, out) ? 1 : 0);
   }
-  [[nodiscard]] bool make_candidate(RouterId r, RouterId inter,
-                                    NonminCandidate& out) const;
-
-  TorusParams params_;
 };
 
 }  // namespace dfsim

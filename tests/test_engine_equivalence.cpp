@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
 
   // --- (3a) torus minimal routes: shorter ring direction, DOR length ------
   {
-    const TorusTopology topo(TorusParams{8, 2, 2});
+    const TorusTopology topo(GridParams{8, 2, 2});
     assert(topo.routers() == 64);
     assert(topo.forward_ports() == 4);
     for (RouterId r = 0; r < topo.routers(); ++r) {
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
 
   // --- (3b) torus VC schedule: in range, dateline bump within a phase -----
   {
-    const TorusTopology topo(TorusParams{8, 2, 2});
+    const TorusTopology topo(GridParams{8, 2, 2});
     for (RouterId r = 0; r < topo.routers(); ++r) {
       for (PortIndex out = 0; out < topo.forward_ports(); ++out) {
         for (std::int8_t state = 0; state < 4; ++state) {

@@ -27,10 +27,10 @@ dfsim::SimParams make(dfsim::RoutingKind routing, dfsim::TrafficKind kind,
 int main() {
   using namespace dfsim;
 
-  const FbflyParams shape{4, 2, 4};
+  const GridParams shape{4, 2, 4};
   assert(shape.routers() == 16);
   assert(shape.nodes() == 64);
-  assert(shape.channels() == 6);
+  assert(shape.n * (shape.k - 1) == 6);  // (k-1) channels per dimension
 
   // Topology invariants: peer links are symmetric, DOR is minimal and
   // reaches the destination within n hops.

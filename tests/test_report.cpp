@@ -392,6 +392,7 @@ void test_user_keys_win() {
        {{"fault.enabled", "1"},
         {"fault.link_fail_fraction", "0.1"},
         {"fault.onset", "100"}}},
+      {"ablation_radix_range", {{"router.buf_local_phits", "64"}}},
   };
   for (const auto& c : cases) {
     const ExperimentSpec& spec = *find_experiment(c.experiment);

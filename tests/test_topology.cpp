@@ -215,9 +215,9 @@ int main() {
     using namespace dfsim;
     const DragonflyTopology dragonfly(presets::small().topo);
     check_candidate_enumeration(dragonfly, /*has_crg_restriction=*/true);
-    const FlattenedButterflyTopology fbfly(FbflyParams{4, 2, 4});
+    const FlattenedButterflyTopology fbfly(GridParams{4, 2, 4});
     check_candidate_enumeration(fbfly, /*has_crg_restriction=*/false);
-    const TorusTopology torus(TorusParams{8, 2, 2});
+    const TorusTopology torus(GridParams{8, 2, 2});
     check_candidate_enumeration(torus, /*has_crg_restriction=*/false);
   }
   return EXIT_SUCCESS;

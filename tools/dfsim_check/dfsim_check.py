@@ -470,7 +470,7 @@ class Analysis:
         """(offset, signature) for every RNG draw expression in the file.
         Two shapes: a direct method call on an rng object (`rng_.next_below(`)
         and passing an rng object into a drawing callee
-        (`topo_.sample_nonmin(rng_, ...)`)."""
+        (`topo_.sample_valiant(rng, ...)`)."""
         text = src.nostrings
         sites: list[tuple[int, str]] = []
         for m in RNG_METHOD.finditer(text):
